@@ -406,7 +406,7 @@ type StoreOpenOptions struct {
 	// selective explorations skip whole shard files.
 	Defer bool
 	// VerifyCRC forces the whole-file trailer checksum even on lazy
-	// opens (v3 lazy opens otherwise rely on per-chunk CRCs).
+	// opens (lazy opens otherwise rely on per-chunk CRCs).
 	VerifyCRC bool
 }
 

@@ -230,21 +230,6 @@ func startReplicatedShardServers(manifestPath, outPath string, replicas int) (st
 	return outPath, injectors, stop, nil
 }
 
-// renderForCompare flattens a Result into a deterministic string
-// (everything except timing) — the failover scenario's byte-identity
-// yardstick.
-func renderForCompare(r *core.Result) string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s | base=%d/%d\n", r.Input.String(), r.BaseCount, r.TotalRows)
-	for _, f := range r.Flagged {
-		fmt.Fprintf(&b, "flag %s %s\n", f.Attr, f.Reason)
-	}
-	for _, m := range r.Maps {
-		b.WriteString(m.String())
-	}
-	return b.String()
-}
-
 // benchRecord is one benchmark's machine-readable result. Metrics
 // carries scenario-specific counters (bytes read, chunks decoded,
 // retained heap) alongside the timing.
@@ -779,7 +764,7 @@ func writeBenchJSON(path string, quick bool) error {
 			if err != nil {
 				return 0, "", remote.Stats{}, err
 			}
-			return time.Since(start), renderForCompare(res), opener.Stats(), nil
+			return time.Since(start), res.Canonical(), opener.Stats(), nil
 		}
 		healthyDur, healthyRes, healthySt, err := timed(false)
 		if err != nil {

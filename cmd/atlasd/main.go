@@ -47,8 +47,8 @@
 // JSON. -pprof additionally mounts /debug/pprof/.
 //
 // With -serve-shard, the /shard/v1/* fabric endpoints are served
-// instead (meta, zones, dict, chunk, values, catcounts, boolcounts,
-// partials, predcount, health).
+// instead (meta, zones, dict, chunk, batchstats, partials, predcount,
+// health, stats).
 package main
 
 import (

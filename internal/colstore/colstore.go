@@ -19,7 +19,7 @@
 //	  (String columns) dictionary: uv entries; per entry uv len | bytes
 //	  per chunk (ceil(rows/chunkSize) chunks):
 //	    u8 flags            // 1 = has null words, 2 = has min/max,
-//	                        // 4 = has code set (v2+)
+//	                        // 4 = has code set
 //	    (flag 2) f64 min | f64 max     // IEEE-754 bits
 //	    uv nullCount
 //	    uv distinct         // distinct non-null values in the chunk
@@ -31,7 +31,7 @@
 //	      Int64/Float64  chunkRows × u64 (two's-complement / IEEE bits)
 //	      Bool           ceil(chunkRows/64) × u64 packed bits
 //	      String         chunkRows × u32 dictionary codes
-//	directory (v3+):      // duplicates every segment's metadata so a
+//	directory:            // duplicates every segment's metadata so a
 //	                      // lazy open reads it in one seek — see below
 //	  per column:
 //	    (String columns) uv dictOff | uv dictLen   // dictionary byte range
@@ -40,16 +40,14 @@
 //	      u32 chunkCRC    // CRC-32 (IEEE) of those bytes
 //	      zone map        // same encoding as the chunk header
 //	                      // (flags..code set, no null bitmap or values)
-//	dirOff  u64 (v3+)     // absolute offset of the directory
-//	dirCRC  u32 (v3+)     // CRC-32 (IEEE) of the directory bytes, so a
+//	dirOff  u64           // absolute offset of the directory
+//	dirCRC  u32           // CRC-32 (IEEE) of the directory bytes, so a
 //	                      // lazy open verifies the metadata it prunes
 //	                      // by without reading the whole file
 //	trailer u32 CRC-32 (IEEE) of every preceding byte
 //
-// Version 1 files lack the code-set flag/payload and the directory;
-// version 2 files lack only the directory. Read accepts all three, so
-// stores ingested before v3 keep opening (eagerly, and lazily via a
-// one-time metadata walk).
+// Only version 3 is read. Older images (v1 lacked code sets, v2 the
+// directory) fail with ErrOldVersion: re-ingest the source data.
 //
 // The per-chunk min/max, null count, distinct estimate and categorical
 // code set form the zone maps: Open hands them to
@@ -70,8 +68,8 @@
 //     into a bounded, shared decoded-chunk cache (lazy.go, cache.go).
 //     Zone maps then work as an I/O filter: a pruned chunk is never
 //     read or decoded at all, which is what lets tables larger than RAM
-//     serve from the same file format. Per-chunk CRCs (v3) keep
-//     integrity checking without a whole-file read.
+//     serve from the same file format. Per-chunk CRCs keep integrity
+//     checking without a whole-file read.
 //
 // Chunk sizes are multiples of 64 so chunk boundaries align with
 // selection-bitmap words: null words and packed bool words of a chunk
@@ -83,6 +81,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -96,10 +95,10 @@ import (
 
 const (
 	magic = "ATLS"
-	// Version is the current format version byte. Version 2 added
-	// per-chunk categorical code sets; version 3 added the trailer
-	// directory with per-chunk offsets and CRCs (the lazy-open index).
-	// Version 1 and 2 files still open.
+	// Version is the format version byte, the only one written or read.
+	// Version 2 added per-chunk categorical code sets; version 3 added
+	// the trailer directory with per-chunk offsets and CRCs (the
+	// lazy-open index).
 	Version = 3
 	// DefaultChunkSize is the default rows-per-chunk at ingest.
 	DefaultChunkSize = storage.ChunkRows
@@ -109,6 +108,11 @@ const (
 	// allocations.
 	maxDictEntries = 1 << 24
 )
+
+// ErrOldVersion reports an .atl image written in a format version older
+// than Version. Such stores predate the trailer directory; re-ingest the
+// source data to upgrade them.
+var ErrOldVersion = errors.New("colstore: format version predates v3; re-ingest the source data")
 
 // Store is an opened .atl file: the table plus file-level metadata. The
 // table carries the store's chunk metadata, so scans over it prune via
@@ -180,7 +184,7 @@ func WriteFileStats(path string, t *storage.Table, chunkSize int) (*storage.Chun
 		return nil, err
 	}
 	tmp := f.Name()
-	ck, err := writeVersioned(f, t, chunkSize, Version)
+	ck, err := write(f, t, chunkSize)
 	if err != nil {
 		f.Close()
 		os.Remove(tmp)
@@ -200,27 +204,22 @@ func WriteFileStats(path string, t *storage.Table, chunkSize int) (*storage.Chun
 // Write serializes a table in .atl format. Zone maps are computed here,
 // at ingest, so Open never rescans values.
 func Write(w io.Writer, t *storage.Table, chunkSize int) error {
-	_, err := writeVersioned(w, t, chunkSize, Version)
+	_, err := write(w, t, chunkSize)
 	return err
 }
 
 // chunkRef locates one encoded chunk inside the file: the byte range
-// holding its header and values, and (v3+) the CRC of those bytes.
+// holding its header and values, and the CRC of those bytes.
 type chunkRef struct {
 	off, length int64
 	crc         uint32
-	hasCRC      bool
 }
 
 // byteRange is a (offset, length) pair into the file.
 type byteRange struct{ off, length int64 }
 
-// writeVersioned is Write at an explicit format version; version 1
-// omits code sets, versions 1 and 2 omit the directory. It exists so
-// compatibility tests can produce genuine old-format images with the
-// current writer. The segment bytes are identical across versions 2 and
-// 3 — v3 only appends the directory.
-func writeVersioned(w io.Writer, t *storage.Table, chunkSize int, version byte) (*storage.Chunking, error) {
+// write is Write returning the chunk metadata computed at ingest.
+func write(w io.Writer, t *storage.Table, chunkSize int) (*storage.Chunking, error) {
 	if chunkSize == 0 {
 		chunkSize = DefaultChunkSize
 	}
@@ -236,10 +235,10 @@ func writeVersioned(w io.Writer, t *storage.Table, chunkSize int, version byte) 
 	}
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
-	e := &encoder{w: bw, version: version}
+	e := &encoder{w: bw}
 
 	e.raw([]byte(magic))
-	e.u8(version)
+	e.u8(Version)
 	e.bytes([]byte(t.Name()))
 	e.uv(uint64(t.NumRows()))
 	e.uv(uint64(chunkSize))
@@ -276,52 +275,45 @@ func writeVersioned(w io.Writer, t *storage.Table, chunkSize int, version byte) 
 			if hi > t.NumRows() {
 				hi = t.NumRows()
 			}
-			if version >= 3 {
-				// Encode the chunk through a scratch buffer so its byte
-				// range can be CRCed for the directory. The bytes written
-				// are identical to a direct encode.
-				chunkBuf.Reset()
-				ce := &encoder{w: &chunkBuf, version: version}
-				ce.chunk(col, ck.Zones[c][k], nullWords, lo, hi)
-				if ce.err != nil {
-					return nil, ce.err
-				}
-				b := chunkBuf.Bytes()
-				dir[c][k] = chunkRef{off: e.n, length: int64(len(b)), crc: crc32.ChecksumIEEE(b), hasCRC: true}
-				e.raw(b)
-			} else {
-				e.chunk(col, ck.Zones[c][k], nullWords, lo, hi)
+			// Encode the chunk through a scratch buffer so its byte range
+			// can be CRCed for the directory.
+			chunkBuf.Reset()
+			ce := &encoder{w: &chunkBuf}
+			ce.chunk(col, ck.Zones[c][k], nullWords, lo, hi)
+			if ce.err != nil {
+				return nil, ce.err
 			}
+			b := chunkBuf.Bytes()
+			dir[c][k] = chunkRef{off: e.n, length: int64(len(b)), crc: crc32.ChecksumIEEE(b)}
+			e.raw(b)
 		}
 	}
-	if version >= 3 {
-		dirOff := e.n
-		// The directory is encoded through the scratch buffer so its own
-		// CRC lands in the footer: a lazy open can then verify the exact
-		// bytes its pruning decisions come from.
-		chunkBuf.Reset()
-		de := &encoder{w: &chunkBuf, version: version}
-		for c := 0; c < t.NumCols(); c++ {
-			if t.Schema().Field(c).Type == storage.String {
-				de.uv(uint64(dictRanges[c].off))
-				de.uv(uint64(dictRanges[c].length))
-			}
-			for k := 0; k < numChunks; k++ {
-				ref := dir[c][k]
-				de.uv(uint64(ref.off))
-				de.uv(uint64(ref.length))
-				de.u32(ref.crc)
-				de.zoneHeader(ck.Zones[c][k])
-			}
+	dirOff := e.n
+	// The directory is encoded through the scratch buffer so its own CRC
+	// lands in the footer: a lazy open can then verify the exact bytes its
+	// pruning decisions come from.
+	chunkBuf.Reset()
+	de := &encoder{w: &chunkBuf}
+	for c := 0; c < t.NumCols(); c++ {
+		if t.Schema().Field(c).Type == storage.String {
+			de.uv(uint64(dictRanges[c].off))
+			de.uv(uint64(dictRanges[c].length))
 		}
-		if de.err != nil {
-			return nil, de.err
+		for k := 0; k < numChunks; k++ {
+			ref := dir[c][k]
+			de.uv(uint64(ref.off))
+			de.uv(uint64(ref.length))
+			de.u32(ref.crc)
+			de.zoneHeader(ck.Zones[c][k])
 		}
-		dirBytes := chunkBuf.Bytes()
-		e.raw(dirBytes)
-		e.u64(uint64(dirOff))
-		e.u32(crc32.ChecksumIEEE(dirBytes))
 	}
+	if de.err != nil {
+		return nil, de.err
+	}
+	dirBytes := chunkBuf.Bytes()
+	e.raw(dirBytes)
+	e.u64(uint64(dirOff))
+	e.u32(crc32.ChecksumIEEE(dirBytes))
 	if e.err != nil {
 		return nil, e.err
 	}
@@ -372,11 +364,10 @@ type byteWriter interface {
 // encoder wraps a writer with little-endian primitives, sticky errors
 // and a running byte count (file offsets for the directory).
 type encoder struct {
-	w       byteWriter
-	version byte
-	err     error
-	n       int64
-	buf     [binary.MaxVarintLen64]byte
+	w   byteWriter
+	err error
+	n   int64
+	buf [binary.MaxVarintLen64]byte
 }
 
 func (e *encoder) raw(b []byte) {
@@ -421,7 +412,7 @@ const (
 
 // zoneHeader writes one zone map in the shared header encoding (flags,
 // optional min/max, null count, distinct, optional code set) — the
-// prefix of every chunk, and the per-chunk metadata record of the v3
+// prefix of every chunk, and the per-chunk metadata record of the
 // directory.
 func (e *encoder) zoneHeader(zm storage.ZoneMap) {
 	var flags byte
@@ -431,8 +422,7 @@ func (e *encoder) zoneHeader(zm storage.ZoneMap) {
 	if zm.HasMinMax {
 		flags |= flagMinMax
 	}
-	writeCodes := e.version >= 2 && zm.CodeSet != nil
-	if writeCodes {
+	if zm.CodeSet != nil {
 		flags |= flagCodeSet
 	}
 	e.u8(flags)
@@ -442,7 +432,7 @@ func (e *encoder) zoneHeader(zm storage.ZoneMap) {
 	}
 	e.uv(uint64(zm.NullCount))
 	e.uv(uint64(zm.Distinct))
-	if writeCodes {
+	if zm.CodeSet != nil {
 		e.uv(uint64(len(zm.CodeSet)))
 		for _, w := range zm.CodeSet {
 			e.u64(w)
@@ -509,7 +499,6 @@ func Open(path string) (*Store, error) {
 
 // header is the decoded fixed part of an .atl file.
 type header struct {
-	version   byte
 	name      string
 	rows      int
 	chunkSize int
@@ -522,10 +511,8 @@ type header struct {
 // at the version byte, after the magic).
 func parseHeader(d *decoder) (*header, error) {
 	h := &header{}
-	d.version = d.u8()
-	h.version = d.version
-	if d.err == nil && (d.version < 1 || d.version > Version) {
-		return nil, fmt.Errorf("unsupported version %d (this reader handles 1..%d)", d.version, Version)
+	if err := checkVersion(d.u8()); d.err == nil && err != nil {
+		return nil, err
 	}
 	h.name = string(d.bytes())
 	rowsU := d.uv()
@@ -565,6 +552,19 @@ func parseHeader(d *decoder) (*header, error) {
 	}
 	h.end = d.off
 	return h, nil
+}
+
+// checkVersion accepts only the current format version; older versions
+// fail with ErrOldVersion.
+func checkVersion(v byte) error {
+	switch {
+	case v == Version:
+		return nil
+	case v >= 1 && v < Version:
+		return fmt.Errorf("%w (file is version %d)", ErrOldVersion, v)
+	default:
+		return fmt.Errorf("unsupported version %d (this reader handles %d)", v, Version)
+	}
 }
 
 // minBitsPerRow returns the minimum value-payload bits one row costs —
@@ -630,25 +630,23 @@ func Read(data []byte) (*Store, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if h.version >= 3 {
-		// The directory duplicates segment metadata for lazy opens; an
-		// eager read validates its structure, position and CRC.
-		dirStart := d.off
-		if _, _, _, err := d.directory(h, numChunks); err != nil {
-			return nil, fmt.Errorf("directory: %w", err)
-		}
-		dirEnd := d.off
-		dirOff := d.u64()
-		dirCRC := d.u32()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if int(dirOff) != dirStart {
-			return nil, fmt.Errorf("directory offset %d does not match its position %d", dirOff, dirStart)
-		}
-		if got := crc32.ChecksumIEEE(d.data[dirStart:dirEnd]); got != dirCRC {
-			return nil, fmt.Errorf("directory checksum mismatch (footer %08x, computed %08x)", dirCRC, got)
-		}
+	// The directory duplicates segment metadata for lazy opens; an eager
+	// read validates its structure, position and CRC.
+	dirStart := d.off
+	if _, _, _, err := d.directory(h, numChunks); err != nil {
+		return nil, fmt.Errorf("directory: %w", err)
+	}
+	dirEnd := d.off
+	dirOff := d.u64()
+	dirCRC := d.u32()
+	if d.err != nil {
+		return nil, d.err
+	}
+	if int(dirOff) != dirStart {
+		return nil, fmt.Errorf("directory offset %d does not match its position %d", dirOff, dirStart)
+	}
+	if got := crc32.ChecksumIEEE(d.data[dirStart:dirEnd]); got != dirCRC {
+		return nil, fmt.Errorf("directory checksum mismatch (footer %08x, computed %08x)", dirCRC, got)
 	}
 	if d.off != len(d.data) {
 		return nil, fmt.Errorf("%d trailing bytes after last segment", len(d.data)-d.off)
@@ -660,10 +658,16 @@ func Read(data []byte) (*Store, error) {
 	return &Store{ChunkSize: chunkSize, table: tbl}, nil
 }
 
-// directory parses the v3 trailer directory from d's current position,
+// directory parses the trailer directory from d's current position,
 // returning per-column dictionary ranges, chunk references, and the
 // zone maps recorded in it.
 func (d *decoder) directory(h *header, numChunks int) (dictRanges []byteRange, dir [][]chunkRef, zones [][]storage.ZoneMap, err error) {
+	// Every (column, chunk) entry takes at least minDirEntry bytes; check
+	// the claimed chunk count against the bytes present before any
+	// chunk-sized allocation, so a crafted header cannot demand one.
+	if cols := len(h.fields); cols > 0 && numChunks > (len(d.data)-d.off)/minDirEntry/cols {
+		return nil, nil, nil, fmt.Errorf("%d chunks × %d columns do not fit a %d-byte directory", numChunks, cols, len(d.data)-d.off)
+	}
 	dictRanges = make([]byteRange, len(h.fields))
 	dir = make([][]chunkRef, len(h.fields))
 	zones = make([][]storage.ZoneMap, len(h.fields))
@@ -674,7 +678,7 @@ func (d *decoder) directory(h *header, numChunks int) (dictRanges []byteRange, d
 		dir[c] = make([]chunkRef, numChunks)
 		zones[c] = make([]storage.ZoneMap, numChunks)
 		for k := 0; k < numChunks; k++ {
-			ref := chunkRef{off: int64(d.uv()), length: int64(d.uv()), crc: d.u32(), hasCRC: true}
+			ref := chunkRef{off: int64(d.uv()), length: int64(d.uv()), crc: d.u32()}
 			chunkRows := h.chunkSize
 			if hi := (k + 1) * h.chunkSize; hi > h.rows {
 				chunkRows = h.rows - k*h.chunkSize
@@ -696,12 +700,16 @@ func (d *decoder) directory(h *header, numChunks int) (dictRanges []byteRange, d
 	return dictRanges, dir, zones, d.err
 }
 
+// minDirEntry is the smallest encoding of one directory entry: one-byte
+// offset and length varints, the u32 CRC, and a zone header of flags,
+// null count and distinct count.
+const minDirEntry = 1 + 1 + 4 + 3
+
 // decoder walks a byte image with sticky errors and bounds checks.
 type decoder struct {
-	data    []byte
-	off     int
-	version byte
-	err     error
+	data []byte
+	off  int
+	err  error
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -774,6 +782,20 @@ func (d *decoder) bytes() []byte {
 	return b
 }
 
+// dictLen decodes a dictionary's entry count, bounded by the format
+// limit and by the bytes left (every entry takes at least its one-byte
+// length), so a crafted count cannot demand an implausible allocation.
+func (d *decoder) dictLen() (int, error) {
+	n := d.uv()
+	if d.err != nil {
+		return 0, d.err
+	}
+	if n > maxDictEntries || n > uint64(len(d.data)-d.off) {
+		return 0, fmt.Errorf("implausible dictionary size %d", n)
+	}
+	return int(n), nil
+}
+
 // zoneHeader decodes one zone map in the shared header encoding (the
 // prefix of every chunk, and the directory's per-chunk record). dictLen
 // is the column's dictionary size, used to validate code-set sizing;
@@ -781,12 +803,8 @@ func (d *decoder) bytes() []byte {
 // applies the structural bound only.
 func (d *decoder) zoneHeader(f storage.Field, dictLen, chunkRows, k int) (storage.ZoneMap, byte, error) {
 	flags := d.u8()
-	known := byte(flagNulls | flagMinMax)
-	if d.version >= 2 {
-		known |= flagCodeSet
-	}
-	if d.err == nil && flags&^known != 0 {
-		return storage.ZoneMap{}, 0, fmt.Errorf("chunk %d: unknown flags %#x for version %d", k, flags, d.version)
+	if d.err == nil && flags&^(flagNulls|flagMinMax|flagCodeSet) != 0 {
+		return storage.ZoneMap{}, 0, fmt.Errorf("chunk %d: unknown flags %#x", k, flags)
 	}
 	zm := storage.ZoneMap{}
 	if flags&flagMinMax != 0 {
@@ -838,9 +856,9 @@ func (d *decoder) column(f storage.Field, rows, chunkSize, numChunks int) (stora
 	if f.Type == storage.String {
 		// Shared dictionaries (gathers, samples) may exceed the row
 		// count, so only guard against the format bound Write enforces.
-		n := int(d.uv())
-		if n < 0 || n > maxDictEntries {
-			return nil, nil, fmt.Errorf("implausible dictionary size %d", n)
+		n, err := d.dictLen()
+		if err != nil {
+			return nil, nil, err
 		}
 		dict = make([]string, n)
 		for i := range dict {

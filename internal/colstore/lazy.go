@@ -47,13 +47,11 @@ type Options struct {
 	// Cache, when non-nil, is used instead of a store-private cache so
 	// several stores (a shard set) share one byte budget.
 	Cache *ChunkCache
-	// DisableMmap forces pread-on-demand instead of mmap. Version 1/2
-	// files cannot lazily open without mmap and fall back to eager.
+	// DisableMmap forces pread-on-demand instead of mmap.
 	DisableMmap bool
 	// VerifyCRC forces the whole-file trailer CRC check even for lazy
-	// opens (one full sequential read). Lazy v3 opens default to
-	// per-chunk CRCs instead; lazy v1/v2 opens otherwise rely on the
-	// decoder's structural checks alone.
+	// opens (one full sequential read). Lazy opens otherwise verify the
+	// directory CRC at open and each chunk's CRC on first touch.
 	VerifyCRC bool
 }
 
@@ -91,20 +89,11 @@ func OpenWith(path string, o Options) (*Store, error) {
 		}
 	}
 	if mode == ModeLazy {
-		// Opens that were not explicitly asked to be lazy (size/env
-		// auto-detection) keep eager mode's integrity guarantee for
-		// directory-less v1/v2 files: one streaming CRC pass at open.
-		// Explicit ModeLazy opts into skipping it (v3 files verify per
-		// chunk and per directory either way).
-		autoLazy := o.Mode != ModeLazy
-		s, err := openLazy(path, o, autoLazy)
-		if err == errLazyUnsupported {
-			mode = ModeEager
-		} else if err != nil {
+		s, err := openLazy(path, o)
+		if err != nil {
 			return nil, fmt.Errorf("colstore: %s: %w", path, err)
-		} else {
-			return s, nil
 		}
+		return s, nil
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -117,10 +106,6 @@ func OpenWith(path string, o Options) (*Store, error) {
 	s.Path = path
 	return s, nil
 }
-
-// errLazyUnsupported marks files that cannot open lazily in this
-// configuration (v1/v2 without mmap); OpenWith falls back to eager.
-var errLazyUnsupported = fmt.Errorf("lazy open unsupported here")
 
 // ResolveCacheBudget maps an Options.CacheBytes value to a ChunkCache
 // budget, applying the package conventions: > 0 passes through, < 0
@@ -146,14 +131,13 @@ func resolveCacheBudget(cacheBytes int64) int64 {
 
 // lazyFile is an open memory-tiered .atl file: the mmap (or fd), the
 // parsed header and directory, and the chunk cache. It implements
-// storage.ChunkSource.
+// storage.ChunkSource and storage.ChunkPrefetcher.
 type lazyFile struct {
 	path string
 	f    *os.File
 	data []byte // mmap; nil = pread via f
 	size int64
 
-	version   byte
 	rows      int
 	chunkSize int
 	fields    []storage.Field
@@ -173,9 +157,10 @@ type lazyFile struct {
 	closed  atomic.Bool
 }
 
-// openLazy opens path in lazy mode. verifyOldCRC forces the whole-file
-// CRC pass for directory-less (v1/v2) files.
-func openLazy(path string, o Options, verifyOldCRC bool) (*Store, error) {
+var _ storage.ChunkPrefetcher = (*lazyFile)(nil)
+
+// openLazy opens path in lazy mode.
+func openLazy(path string, o Options) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -203,12 +188,11 @@ func openLazy(path string, o Options, verifyOldCRC bool) (*Store, error) {
 	if err != nil {
 		return fail(err)
 	}
-	lf.version = h.version
 	lf.rows = h.rows
 	lf.chunkSize = h.chunkSize
 	lf.fields = h.fields
 
-	if o.VerifyCRC || (verifyOldCRC && h.version < 3) {
+	if o.VerifyCRC {
 		if err := lf.verifyFileCRC(); err != nil {
 			return fail(err)
 		}
@@ -218,19 +202,7 @@ func openLazy(path string, o Options, verifyOldCRC bool) (*Store, error) {
 	if h.rows > 0 {
 		numChunks = (h.rows + h.chunkSize - 1) / h.chunkSize
 	}
-	var dictRanges []byteRange
-	if h.version >= 3 {
-		dictRanges, err = lf.loadDirectory(h, numChunks)
-	} else {
-		if lf.data == nil {
-			// Walking a directory-less file needs random access to the
-			// whole image; without mmap that degenerates to a full read,
-			// so take the eager path instead.
-			f.Close()
-			return nil, errLazyUnsupported
-		}
-		dictRanges, err = lf.walkSegments(h, numChunks)
-	}
+	dictRanges, err := lf.loadDirectory(h, numChunks)
 	if err != nil {
 		return fail(err)
 	}
@@ -343,7 +315,7 @@ func (lf *lazyFile) verifyFileCRC() error {
 	return nil
 }
 
-// loadDirectory reads the v3 trailer directory: dictionary ranges,
+// loadDirectory reads the trailer directory: dictionary ranges,
 // chunk references and zone maps, in one footer seek plus one directory
 // read.
 func (lf *lazyFile) loadDirectory(h *header, numChunks int) ([]byteRange, error) {
@@ -369,7 +341,7 @@ func (lf *lazyFile) loadDirectory(h *header, numChunks int) ([]byteRange, error)
 	if got := crc32.ChecksumIEEE(dirBytes); got != dirCRC {
 		return nil, fmt.Errorf("directory checksum mismatch (footer %08x, computed %08x)", dirCRC, got)
 	}
-	d := &decoder{data: dirBytes, version: h.version}
+	d := &decoder{data: dirBytes}
 	dictRanges, dir, zones, err := d.directory(h, numChunks)
 	if err != nil {
 		return nil, fmt.Errorf("directory: %w", err)
@@ -379,72 +351,6 @@ func (lf *lazyFile) loadDirectory(h *header, numChunks int) ([]byteRange, error)
 	}
 	lf.dir = dir
 	lf.zones = zones
-	return dictRanges, nil
-}
-
-// walkSegments builds an in-memory directory for a v1/v2 file by
-// parsing every chunk header and skipping value payloads by arithmetic
-// — a metadata-only pass that touches a few bytes per chunk.
-func (lf *lazyFile) walkSegments(h *header, numChunks int) ([]byteRange, error) {
-	d := &decoder{data: lf.data[:lf.size-4], off: h.end, version: h.version}
-	dictRanges := make([]byteRange, len(h.fields))
-	lf.dir = make([][]chunkRef, len(h.fields))
-	lf.zones = make([][]storage.ZoneMap, len(h.fields))
-	for c, f := range h.fields {
-		dictLen := 0
-		if f.Type == storage.String {
-			dictStart := d.off
-			n := int(d.uv())
-			if n < 0 || n > maxDictEntries {
-				return nil, fmt.Errorf("column %q: implausible dictionary size %d", f.Name, n)
-			}
-			dictLen = n
-			for i := 0; i < n; i++ {
-				d.bytes()
-			}
-			if d.err != nil {
-				return nil, fmt.Errorf("column %q: %w", f.Name, d.err)
-			}
-			dictRanges[c] = byteRange{off: int64(dictStart), length: int64(d.off - dictStart)}
-		}
-		lf.dir[c] = make([]chunkRef, numChunks)
-		lf.zones[c] = make([]storage.ZoneMap, numChunks)
-		for k := 0; k < numChunks; k++ {
-			lo := k * h.chunkSize
-			hi := lo + h.chunkSize
-			if hi > h.rows {
-				hi = h.rows
-			}
-			chunkRows := hi - lo
-			chunkWords := (chunkRows + 63) / 64
-			start := d.off
-			zm, flags, err := d.zoneHeader(f, dictLen, chunkRows, k)
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %w", f.Name, err)
-			}
-			skip := 0
-			if flags&flagNulls != 0 {
-				skip += 8 * chunkWords
-			}
-			switch f.Type {
-			case storage.Int64, storage.Float64:
-				skip += 8 * chunkRows
-			case storage.Bool:
-				skip += 8 * chunkWords
-			case storage.String:
-				skip += 4 * chunkRows
-			}
-			if !d.need(skip) {
-				return nil, fmt.Errorf("column %q: %w", f.Name, d.err)
-			}
-			d.off += skip
-			lf.dir[c][k] = chunkRef{off: int64(start), length: int64(d.off - start)}
-			lf.zones[c][k] = zm
-		}
-	}
-	if d.off != len(d.data) {
-		return nil, fmt.Errorf("%d trailing bytes after last segment", len(d.data)-d.off)
-	}
 	return dictRanges, nil
 }
 
@@ -464,10 +370,10 @@ func (lf *lazyFile) loadDicts(dictRanges []byteRange) error {
 		if err != nil {
 			return fmt.Errorf("column %q dictionary: %w", f.Name, err)
 		}
-		d := &decoder{data: buf, version: lf.version}
-		n := int(d.uv())
-		if n < 0 || n > maxDictEntries {
-			return fmt.Errorf("column %q: implausible dictionary size %d", f.Name, n)
+		d := &decoder{data: buf}
+		n, err := d.dictLen()
+		if err != nil {
+			return fmt.Errorf("column %q dictionary: %w", f.Name, err)
 		}
 		dict := make([]string, n)
 		for i := range dict {
@@ -533,17 +439,10 @@ func (lf *lazyFile) buildTable(name string) (*storage.Table, error) {
 	return storage.NewChunkedTable(name, schema, cols, ck)
 }
 
-// FetchChunk implements storage.ChunkSource: cache lookup, then read +
-// CRC + decode on a miss.
-func (lf *lazyFile) FetchChunk(ci, k int) (*storage.ChunkPayload, bool, error) {
-	return lf.FetchChunkCtx(nil, ci, k)
-}
-
-// FetchChunkCtx implements storage.CtxChunkSource: identical to
-// FetchChunk, but a miss's read and decode are additionally billed to
-// the context's resource ledger — at the same sites the store's own
-// lifetime counters move, so a query's ledger delta equals its IOStats
-// delta.
+// FetchChunkCtx implements storage.ChunkSource: cache lookup, then read
+// + CRC + decode on a miss. A miss's read and decode are billed to the
+// context's resource ledger at the same sites the store's own lifetime
+// counters move, so a query's ledger delta equals its IOStats delta.
 func (lf *lazyFile) FetchChunkCtx(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
 	if ci < 0 || ci >= len(lf.dir) || k < 0 || k >= len(lf.dir[ci]) {
 		return nil, false, fmt.Errorf("colstore: chunk (%d,%d) out of range", ci, k)
@@ -565,17 +464,15 @@ func (lf *lazyFile) FetchChunkCtx(ctx context.Context, ci, k int) (*storage.Chun
 		}
 		lf.bytesRead.Add(ref.length)
 		led.ReadBytes(ref.length)
-		if ref.hasCRC {
-			if got := crc32.ChecksumIEEE(raw); got != ref.crc {
-				return nil, fmt.Errorf("colstore: %s: chunk (%d,%d) checksum mismatch (directory %08x, computed %08x)",
-					lf.path, ci, k, ref.crc, got)
-			}
+		if got := crc32.ChecksumIEEE(raw); got != ref.crc {
+			return nil, fmt.Errorf("colstore: %s: chunk (%d,%d) checksum mismatch (directory %08x, computed %08x)",
+				lf.path, ci, k, ref.crc, got)
 		}
 		chunkRows := lf.chunkSize
 		if hi := (k + 1) * lf.chunkSize; hi > lf.rows {
 			chunkRows = lf.rows - k*lf.chunkSize
 		}
-		p, err := decodeChunkPayload(raw, lf.fields[ci], len(lf.dicts[ci]), chunkRows, k, lf.version)
+		p, err := decodeChunkPayload(raw, lf.fields[ci], len(lf.dicts[ci]), chunkRows, k)
 		if err != nil {
 			return nil, fmt.Errorf("colstore: %s: chunk (%d,%d): %w", lf.path, ci, k, err)
 		}
@@ -587,8 +484,8 @@ func (lf *lazyFile) FetchChunkCtx(ctx context.Context, ci, k int) (*storage.Chun
 
 // decodeChunkPayload decodes one chunk's bytes (header + values) into a
 // chunk-local payload.
-func decodeChunkPayload(raw []byte, f storage.Field, dictLen, chunkRows, k int, version byte) (*storage.ChunkPayload, error) {
-	d := &decoder{data: raw, version: version}
+func decodeChunkPayload(raw []byte, f storage.Field, dictLen, chunkRows, k int) (*storage.ChunkPayload, error) {
+	d := &decoder{data: raw}
 	zm, flags, err := d.zoneHeader(f, dictLen, chunkRows, k)
 	if err != nil {
 		return nil, err
@@ -684,20 +581,15 @@ func decodeChunkPayload(raw []byte, f storage.Field, dictLen, chunkRows, k int, 
 // loads; the scan itself is never throttled by this.
 const maxPrefetchInFlight = 4
 
-// PrefetchChunk implements storage.ChunkPrefetcher: an asynchronous,
+// PrefetchChunkCtx implements storage.ChunkPrefetcher: an asynchronous,
 // single-flight, eviction-aware fetch of a chunk a sequential scan is
 // about to touch. It is a no-op when the chunk is already resident (or
 // loading), when caching it would evict something, or when too many
 // prefetches are in flight — a prefetch must only ever hide latency,
-// never change what the scan decodes or keeps.
-func (lf *lazyFile) PrefetchChunk(ci, k int) {
-	lf.PrefetchChunkCtx(nil, ci, k)
-}
-
-// PrefetchChunkCtx implements storage.CtxChunkPrefetcher: the
-// speculative load carries the request's values (so its read and
-// decode bill the originating query's ledger) but detaches from its
-// cancellation — the query may finish before the flight does.
+// never change what the scan decodes or keeps. The load carries the
+// request's values (so its read and decode bill the originating query's
+// ledger) but detaches from its cancellation — the query may finish
+// before the flight does.
 func (lf *lazyFile) PrefetchChunkCtx(ctx context.Context, ci, k int) {
 	if lf.closed.Load() || ci < 0 || ci >= len(lf.dir) || k < 0 || k >= len(lf.dir[ci]) {
 		return
@@ -718,9 +610,7 @@ func (lf *lazyFile) PrefetchChunkCtx(ctx context.Context, ci, k int) {
 		lf.prefetching.Add(-1)
 		return
 	}
-	if ctx != nil {
-		ctx = context.WithoutCancel(ctx)
-	}
+	ctx = context.WithoutCancel(ctx)
 	go func() {
 		defer lf.prefetching.Add(-1)
 		// Errors are ignored: failed loads are never cached, so the scan's

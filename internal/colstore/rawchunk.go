@@ -11,27 +11,20 @@ import (
 // This file is the chunk-plane export surface of the store: access to a
 // chunk's *encoded* bytes plus their CRC, and the matching standalone
 // decoder. A remote shard server (internal/remote) ships these bytes
-// verbatim — for lazy stores straight out of the file, reusing the v3
+// verbatim — for lazy stores straight out of the file, reusing the
 // directory's per-chunk CRCs — and the coordinator decodes them with
 // DecodeChunk, so the wire format IS the file format and integrity
 // checking costs one CRC pass per transferred chunk on each side.
 
-// WireVersion returns the format version RawChunk encodes chunks in:
-// the file's own version for lazy stores (raw byte ranges), the current
-// format version for eager stores (re-encoded on demand).
-func (s *Store) WireVersion() byte {
-	if s.lazy != nil {
-		return s.lazy.version
-	}
-	return Version
-}
+// WireVersion returns the format version RawChunk encodes chunks in —
+// always Version, the only one a store can be opened at.
+func (s *Store) WireVersion() byte { return Version }
 
 // RawChunk returns the encoded bytes of chunk k of column ci (the
-// flags..values range a v3 directory names) and their CRC-32 (IEEE).
-// Lazy stores serve the stored byte range — and the directory's
-// per-chunk CRC when the file carries one — without decoding; eager
-// stores re-encode the chunk in the current format version. The
-// returned slice is caller-owned.
+// flags..values range the directory names) and their CRC-32 (IEEE).
+// Lazy stores serve the stored byte range and the directory's per-chunk
+// CRC without decoding; eager stores re-encode the chunk. The returned
+// slice is caller-owned.
 func (s *Store) RawChunk(ci, k int) ([]byte, uint32, error) {
 	if s.lazy != nil {
 		return s.lazy.rawChunk(ci, k)
@@ -54,7 +47,7 @@ func (s *Store) RawChunk(ci, k int) ([]byte, uint32, error) {
 		hi = t.NumRows()
 	}
 	var buf bytes.Buffer
-	e := &encoder{w: &buf, version: Version}
+	e := &encoder{w: &buf}
 	e.chunk(t.Column(ci), ck.Zones[ci][k], storage.NullWords(t.Column(ci)), lo, hi)
 	if e.err != nil {
 		return nil, 0, e.err
@@ -79,11 +72,7 @@ func (lf *lazyFile) rawChunk(ci, k int) ([]byte, uint32, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("colstore: %s: reading chunk (%d,%d): %w", lf.path, ci, k, err)
 	}
-	out := append([]byte(nil), raw...)
-	if ref.hasCRC {
-		return out, ref.crc, nil
-	}
-	return out, crc32.ChecksumIEEE(out), nil
+	return append([]byte(nil), raw...), ref.crc, nil
 }
 
 // NumChunks returns the store's chunk count per column.
@@ -96,10 +85,14 @@ func (s *Store) NumChunks() int {
 }
 
 // DecodeChunk decodes one encoded chunk — bytes produced by RawChunk or
-// named by a v3 directory — into a chunk-local payload. f is the
-// column's field, dictLen its dictionary size (0 for non-string
-// columns), chunkRows the chunk's row count, k its index (error
-// context), and version the encoding version (see WireVersion).
+// named by a directory — into a chunk-local payload. f is the column's
+// field, dictLen its dictionary size (0 for non-string columns),
+// chunkRows the chunk's row count, k its index (error context), and
+// version the encoding version (see WireVersion): anything but Version
+// is rejected, with ErrOldVersion for older ones.
 func DecodeChunk(raw []byte, f storage.Field, dictLen, chunkRows, k int, version byte) (*storage.ChunkPayload, error) {
-	return decodeChunkPayload(raw, f, dictLen, chunkRows, k, version)
+	if err := checkVersion(version); err != nil {
+		return nil, err
+	}
+	return decodeChunkPayload(raw, f, dictLen, chunkRows, k)
 }

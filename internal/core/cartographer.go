@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/bitvec"
@@ -201,6 +202,24 @@ type Result struct {
 	Flagged []ScreenFinding
 	// Elapsed is the wall-clock time of the pipeline.
 	Elapsed time.Duration
+}
+
+// Canonical renders the result as deterministic text: the input query,
+// base and total row counts, the screening flags and the ranked maps —
+// everything but Elapsed. Two results are the same answer exactly when
+// their canonical texts are equal, which is what the byte-identity
+// checks across configurations (sharded, lazy, remote, failover)
+// compare.
+func (r *Result) Canonical() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s | base=%d/%d\n", r.Input.String(), r.BaseCount, r.TotalRows)
+	for _, f := range r.Flagged {
+		fmt.Fprintf(&b, "flag %s %s\n", f.Attr, f.Reason)
+	}
+	for _, m := range r.Maps {
+		b.WriteString(m.String())
+	}
+	return b.String()
 }
 
 // Explore runs the four-step framework of Section 3 on a user query:

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/query"
@@ -312,4 +314,53 @@ func mapKeys(maps []*Map) []string {
 		out[i] = m.Key()
 	}
 	return out
+}
+
+// TestResultCanonical: the canonical rendering names the input, the
+// row counts, every screening flag and every ranked map in order, and
+// ignores timing — two runs of one query render identically.
+func TestResultCanonical(t *testing.T) {
+	c, err := NewCartographer(datagen.WithJunkColumns(datagen.Census(3000, 2), 4), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := query.New("census_junk", query.NewRange("age", 20, 60))
+	a, err := c.Explore(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Explore(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Elapsed = a.Elapsed + time.Hour
+	if a.Canonical() != b.Canonical() {
+		t.Errorf("canonical text depends on timing:\n%s\nvs\n%s", a.Canonical(), b.Canonical())
+	}
+	got := a.Canonical()
+	if want := fmt.Sprintf("%s | base=%d/%d\n", q.String(), a.BaseCount, a.TotalRows); !strings.HasPrefix(got, want) {
+		t.Errorf("canonical text starts %q, want %q", got[:min(len(got), len(want))], want)
+	}
+	if len(a.Flagged) == 0 || len(a.Maps) == 0 {
+		t.Fatalf("fixture lost its teeth: %d flags, %d maps", len(a.Flagged), len(a.Maps))
+	}
+	at := 0
+	for _, f := range a.Flagged {
+		line := fmt.Sprintf("flag %s %s\n", f.Attr, f.Reason)
+		i := strings.Index(got[at:], line)
+		if i < 0 {
+			t.Fatalf("flag line %q missing or out of order", line)
+		}
+		at += i + len(line)
+	}
+	for i, m := range a.Maps {
+		j := strings.Index(got[at:], m.String())
+		if j < 0 {
+			t.Fatalf("map %d missing or out of order", i)
+		}
+		at += j + len(m.String())
+	}
+	if at != len(got) {
+		t.Errorf("canonical text has %d unexplained trailing bytes", len(got)-at)
+	}
 }

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -94,7 +93,7 @@ func unshardedRef(t *testing.T, tbl *storage.Table, q query.Query) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return renderResult(res)
+	return res.Canonical()
 }
 
 // TestFailoverMidExploreByteIdentical is the tentpole acceptance test:
@@ -128,7 +127,7 @@ func TestFailoverMidExploreByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exploration failed despite a live replica: %v", err)
 	}
-	if got := renderResult(res); got != want {
+	if got := res.Canonical(); got != want {
 		t.Errorf("failover result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 	if opener.Stats().Failovers == 0 {
@@ -165,7 +164,7 @@ func TestReplicaBreakerAndRecovery(t *testing.T) {
 	defer be.Close()
 	c := be.(*Client)
 	p := query.NewRange("age", 30, 40)
-	if _, err := c.PredicateCount(context.Background(), p); err != nil {
+	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	primary, secondary := rf.injectors[0][0], rf.injectors[0][1]
@@ -173,7 +172,7 @@ func TestReplicaBreakerAndRecovery(t *testing.T) {
 	// The primary starts 500ing: the first strike trips its breaker
 	// (threshold 1) and the call still succeeds via the replica.
 	primary.SetFault(chaos.Error5xx)
-	if _, err := c.PredicateCount(context.Background(), p); err != nil {
+	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
 		t.Fatalf("call failed despite a healthy replica: %v", err)
 	}
 	reps := c.Replicas()
@@ -197,7 +196,7 @@ func TestReplicaBreakerAndRecovery(t *testing.T) {
 	// instead of hammering a dead peer.
 	before := primary.Requests()
 	for i := 0; i < 5; i++ {
-		if _, err := c.PredicateCount(context.Background(), p); err != nil {
+		if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +210,7 @@ func TestReplicaBreakerAndRecovery(t *testing.T) {
 	primary.Heal()
 	secondary.SetFault(chaos.Kill)
 	time.Sleep(80 * time.Millisecond)
-	if _, err := c.PredicateCount(context.Background(), p); err != nil {
+	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
 		t.Fatalf("probe of the healed primary failed: %v", err)
 	}
 	reps = c.Replicas()
@@ -240,14 +239,14 @@ func TestBreakerSingleReplicaSelfHeals(t *testing.T) {
 	p := query.NewRange("age", 30, 40)
 	inj := rf.injectors[0][0]
 	inj.SetFault(chaos.Error5xx)
-	if _, err := c.PredicateCount(context.Background(), p); err == nil {
+	if _, _, err := c.PredicateBits(context.Background(), p); err == nil {
 		t.Fatal("succeeded against a 500ing sole replica")
 	}
 	if state := c.Replicas()[0].State; state != "tripped" {
 		t.Errorf("sole replica state %q, want tripped", state)
 	}
 	inj.Heal()
-	if _, err := c.PredicateCount(context.Background(), p); err != nil {
+	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
 		t.Fatalf("tripped sole replica was never re-dialed: %v", err)
 	}
 	if state := c.Replicas()[0].State; state != "healthy" {
@@ -287,7 +286,7 @@ func TestChaosCorruptionFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exploration failed despite clean replicas: %v", err)
 	}
-	if got := renderResult(res); got != want {
+	if got := res.Canonical(); got != want {
 		t.Errorf("tampered-fabric result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 	if rf.injectors[0][0].Injected() == 0 || rf.injectors[1][0].Injected() == 0 {
@@ -326,62 +325,43 @@ func TestAllReplicasDeadNamesShard(t *testing.T) {
 	assertNamedShardError(t, err, rf.urls[1][0])
 }
 
-// stripBatch simulates a pre-batch shard server: 404 on /batchstats,
-// everything else faithful. The client must fall back per-attribute.
-func stripBatch(_ int, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/batchstats") {
-			http.NotFound(w, r)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
-}
-
-// TestBatchStatsFallbackAndSavings runs the same cold Explore against a
-// batch-capable fabric and a legacy one: results must be identical, and
-// the batch endpoint must cut statistics-plane RPCs at least 4×.
-func TestBatchStatsFallbackAndSavings(t *testing.T) {
+// TestBatchStatsRPCBound runs a cold full-table Explore over a 4-shard
+// fabric: the result must equal the unsharded one, and the whole
+// statistics plane must cost one batchstats RPC per shard — every
+// attribute's statistics in one round trip.
+func TestBatchStatsRPCBound(t *testing.T) {
 	tbl := datagen.Census(10_000, 23)
-	local := writeShardedInputs(t, tbl, 4, 256)
+	const shards = 4
+	local := writeShardedInputs(t, tbl, shards, 256)
 	q := query.New("census")
 	want := unshardedRef(t, tbl, q)
 
-	run := func(wrap func(int, http.Handler) http.Handler) (string, int64) {
-		f := startFabric(t, local, wrap)
-		opener := testOpener()
-		set, err := shard.OpenWith(f.manifest, shard.Options{Remote: opener})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer set.Close()
-		opts := core.DefaultOptions()
-		opts.Parallelism = 2
-		cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(opts.Parallelism))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s0 := opener.Stats()
-		res, err := cart.Explore(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s1 := opener.Stats()
-		statsRPCs := (s1.RPCs - s0.RPCs) - (s1.ChunkFetches - s0.ChunkFetches)
-		return renderResult(res), statsRPCs
+	f := startFabric(t, local, nil)
+	opener := testOpener()
+	set, err := shard.OpenWith(f.manifest, shard.Options{Remote: opener})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	gotBatch, batchRPCs := run(nil)
-	gotLegacy, legacyRPCs := run(stripBatch)
-	if gotBatch != want {
-		t.Errorf("batch-fabric result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, gotBatch)
+	defer set.Close()
+	opts := core.DefaultOptions()
+	opts.Parallelism = 2
+	cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(opts.Parallelism))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gotLegacy != want {
-		t.Errorf("legacy-fallback result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, gotLegacy)
+	s0 := opener.Stats()
+	res, err := cart.Explore(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("stats-plane RPCs: batch=%d legacy=%d", batchRPCs, legacyRPCs)
-	if batchRPCs*4 > legacyRPCs {
-		t.Errorf("batch stats cut stats-plane RPCs %d → %d: less than the required 4×", legacyRPCs, batchRPCs)
+	s1 := opener.Stats()
+	statsRPCs := (s1.RPCs - s0.RPCs) - (s1.ChunkFetches - s0.ChunkFetches)
+	if got := res.Canonical(); got != want {
+		t.Errorf("fabric result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	t.Logf("stats-plane RPCs: %d", statsRPCs)
+	if statsRPCs > shards {
+		t.Errorf("cold Explore spent %d stats-plane RPCs, want at most %d (one batch per shard)", statsRPCs, shards)
 	}
 }
 
@@ -418,60 +398,10 @@ func TestServerMemoizesStatistics(t *testing.T) {
 	if got := srv.Stats().StatComputes; got != after {
 		t.Errorf("second client recomputed statistics: %d → %d computes", after, got)
 	}
-
-	// The per-attribute legacy path shares the same memo.
-	be, err := opener.OpenShard([]string{f.servers[0].URL}, colstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer be.Close()
-	c := be.(*Client)
-	c.statsMu.Lock()
-	c.batchOff = true
-	c.statsMu.Unlock()
-	for i := 0; i < 3; i++ {
-		if _, err := c.NumericValues(context.Background(), "age"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := srv.Stats().StatComputes; got != after {
-		t.Errorf("legacy per-attribute calls recomputed statistics: %d → %d computes", after, got)
-	}
-}
-
-// stripBits simulates a pre-bitmap shard server: /predcount answers
-// lose their "bits" field, so clients only learn the count.
-func stripBits(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasSuffix(r.URL.Path, "/predcount") {
-			h.ServeHTTP(w, r)
-			return
-		}
-		rec := newRecorder()
-		h.ServeHTTP(rec, r)
-		body := rec.body
-		if rec.status == http.StatusOK {
-			var m map[string]any
-			if err := json.Unmarshal(rec.body, &m); err == nil {
-				delete(m, "bits")
-				if out, err := json.Marshal(m); err == nil {
-					body = out
-				}
-			}
-		}
-		for k, vs := range rec.hdr {
-			if k == "Content-Length" {
-				continue
-			}
-			w.Header()[k] = vs
-		}
-		w.WriteHeader(rec.status)
-		_, _ = w.Write(body)
-	})
 }
 
 // TestPredicateBitsWire: the bitmap a shard serves over the stats plane
-// is exactly the local scan's, and old servers degrade to count-only.
+// is exactly the local scan's.
 func TestPredicateBitsWire(t *testing.T) {
 	tbl := datagen.Census(5_000, 37)
 	local := writeShardedInputs(t, tbl, 1, 256)
@@ -508,52 +438,29 @@ func TestPredicateBitsWire(t *testing.T) {
 			}
 		}
 	}
-
-	// Old server: count survives, words degrade to nil.
-	fOld := startFabric(t, local, func(_ int, h http.Handler) http.Handler { return stripBits(h) })
-	beOld, err := testOpener().OpenShard([]string{fOld.servers[0].URL}, colstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer beOld.Close()
-	cOld := beOld.(*Client)
-	p := query.NewRange("age", 20, 40)
-	want, err := engine.EvalPredicate(tbl, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count, words, err := cOld.PredicateBits(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if words != nil {
-		t.Error("legacy predcount answer produced bitmap words")
-	}
-	if count != want.Count() {
-		t.Errorf("legacy count %d, want %d", count, want.Count())
-	}
 }
 
 // TestSessionBaseBitsSkipChunkPlane: assembling a session base over the
-// bitmap plane must pull no chunk from any shard, where the count-only
-// fallback has to scan — and both produce the same result.
+// bitmap plane must pull no chunk from any shard, where a failing
+// predcount probe falls back to scanning — and both produce the same
+// result.
 func TestSessionBaseBitsSkipChunkPlane(t *testing.T) {
 	tbl := datagen.Census(8_000, 41)
 	local := writeShardedInputs(t, tbl, 4, 256)
 	q := query.New("census", query.NewRange("age", 25, 60), query.NewIn("sex", "F"))
 
-	run := func(legacy bool) (string, int64) {
+	run := func(failProbe bool) (string, int64) {
 		var chunkRPCs atomic.Int64
 		f := startFabric(t, local, func(_ int, h http.Handler) http.Handler {
-			if legacy {
-				h = stripBits(h)
-			}
-			inner := h
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if strings.HasSuffix(r.URL.Path, "/chunk") {
+				switch {
+				case failProbe && strings.HasSuffix(r.URL.Path, "/predcount"):
+					http.Error(w, "synthetic predcount failure", http.StatusBadRequest)
+					return
+				case strings.HasSuffix(r.URL.Path, "/chunk"):
 					chunkRPCs.Add(1)
 				}
-				inner.ServeHTTP(w, r)
+				h.ServeHTTP(w, r)
 			})
 		})
 		set, err := shard.OpenWith(f.manifest, shard.Options{Remote: testOpener()})
@@ -573,19 +480,19 @@ func TestSessionBaseBitsSkipChunkPlane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return renderResult(node.Result), chunkRPCs.Load() - before
+		return node.Result.Canonical(), chunkRPCs.Load() - before
 	}
 
 	gotBits, bitsChunks := run(false)
-	gotLegacy, legacyChunks := run(true)
-	if gotBits != gotLegacy {
-		t.Errorf("bitmap-plane session result differs from scan fallback:\nbits:\n%s\nscan:\n%s", gotBits, gotLegacy)
+	gotScan, scanChunks := run(true)
+	if gotBits != gotScan {
+		t.Errorf("bitmap-plane session result differs from scan fallback:\nbits:\n%s\nscan:\n%s", gotBits, gotScan)
 	}
-	t.Logf("session chunk RPCs: bits=%d legacy=%d", bitsChunks, legacyChunks)
+	t.Logf("session chunk RPCs: bits=%d scan=%d", bitsChunks, scanChunks)
 	if bitsChunks != 0 {
 		t.Errorf("session base assembly fetched %d chunks despite the bitmap plane", bitsChunks)
 	}
-	if legacyChunks == 0 {
-		t.Error("count-only fallback fetched no chunks — test lost its teeth")
+	if scanChunks == 0 {
+		t.Error("scan fallback fetched no chunks — test lost its teeth")
 	}
 }

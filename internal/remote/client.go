@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,9 +74,8 @@ type counters struct {
 
 // Client speaks the fabric protocol to one shard — a replica set of
 // servers holding the same immutable shard file. It implements
-// shard.Backend (+ StatBackend, PredBitsBackend, HealthBackend,
-// IOBackend, ReplicaBackend) and storage.ChunkSource/ChunkPrefetcher,
-// so a shard.Set routes through it exactly as it routes through a
+// shard.RemoteBackend and storage.ChunkSource/ChunkPrefetcher, so a
+// shard.Set routes through it exactly as it routes through a
 // local file. Requests share a pooled transport, are bounded in flight
 // per shard, and every fetched chunk is CRC-checked before it is
 // decoded. Failures rotate to the next healthy replica (see
@@ -105,7 +105,6 @@ type Client struct {
 	table     string
 	rows      int
 	chunkSize int
-	version   byte
 	schema    *storage.Schema
 	zones     [][]storage.ZoneMap
 
@@ -117,11 +116,9 @@ type Client struct {
 	// Batch statistics cache: the first statistics-plane demand fetches
 	// every attribute's stats in ONE round trip (POST batchstats) and
 	// answers later calls from memory — the table is immutable, so the
-	// answers never go stale. batchOff remembers a server without the
-	// endpoint (404); per-attribute calls then carry the load, so old
-	// servers keep working.
+	// answers never go stale. A failed fetch is not cached; the next
+	// demand retries it.
 	statsMu   sync.Mutex
-	batchOff  bool
 	numStats  map[string][]float64
 	catStats  map[string]catCountsDTO
 	boolStats map[string]boolCountsDTO
@@ -129,6 +126,12 @@ type Client struct {
 	prefetching atomic.Int64
 	closed      atomic.Bool
 }
+
+var (
+	_ shard.RemoteBackend     = (*Client)(nil)
+	_ storage.ChunkPrefetcher = (*Client)(nil)
+	_ shard.RemoteOpener      = (*Opener)(nil)
+)
 
 type dictSlot struct {
 	mu   sync.Mutex
@@ -151,8 +154,8 @@ func (c *Client) initCtx(ctx context.Context) error {
 	if meta.Rows < 0 || meta.ChunkSize <= 0 || meta.ChunkSize%64 != 0 {
 		return &ShardError{Location: c.primary, Op: "meta", Err: fmt.Errorf("implausible shape rows=%d chunkSize=%d", meta.Rows, meta.ChunkSize)}
 	}
-	if meta.Version < 1 || meta.Version > int(colstore.Version) {
-		return &ShardError{Location: c.primary, Op: "meta", Err: fmt.Errorf("unsupported chunk encoding version %d (this client handles 1..%d)", meta.Version, colstore.Version)}
+	if meta.Version != int(colstore.Version) {
+		return &ShardError{Location: c.primary, Op: "meta", Err: fmt.Errorf("unsupported chunk encoding version %d (this client handles %d)", meta.Version, colstore.Version)}
 	}
 	fields := make([]storage.Field, len(meta.Columns))
 	for i, col := range meta.Columns {
@@ -167,7 +170,6 @@ func (c *Client) initCtx(ctx context.Context) error {
 		return &ShardError{Location: c.primary, Op: "meta", Err: err}
 	}
 	c.table, c.rows, c.chunkSize = meta.Table, meta.Rows, meta.ChunkSize
-	c.version = byte(meta.Version)
 	c.schema = schema
 	c.dicts = make([]dictSlot, len(fields))
 
@@ -395,7 +397,7 @@ func (c *Client) pick(start int, now time.Time) int {
 	return best
 }
 
-// Replicas implements shard.ReplicaBackend: each replica's breaker
+// Replicas implements shard.RemoteBackend: each replica's breaker
 // state for ShardHealth and GET /api/shards.
 func (c *Client) Replicas() []shard.ReplicaHealth {
 	now := time.Now()
@@ -509,22 +511,12 @@ func (c *Client) Meta() shard.BackendMeta {
 // Zones implements shard.Backend.
 func (c *Client) Zones() [][]storage.ZoneMap { return c.zones }
 
-// Dicts implements shard.Backend, fetching each string dictionary once
-// (per-column locks, so different columns' first touches overlap).
-func (c *Client) Dicts(ci int) ([]string, error) {
-	return c.dictsCtx(context.Background(), ci)
-}
-
-// DictsCtx implements shard.CtxDictBackend — Dicts with the caller's
-// context riding into a first-touch fetch.
+// DictsCtx implements shard.Backend, fetching each string dictionary
+// once (per-column locks, so different columns' first touches overlap)
+// with the caller's context riding into the first-touch fetch — so a
+// chunk load's implied dictionary round trip is traced and billed with
+// the query that caused it.
 func (c *Client) DictsCtx(ctx context.Context, ci int) ([]string, error) {
-	return c.dictsCtx(ctx, ci)
-}
-
-// dictsCtx is Dicts with the caller's context riding into a first-touch
-// fetch — so a chunk load's implied dictionary round trip is traced and
-// billed with the query that caused it.
-func (c *Client) dictsCtx(ctx context.Context, ci int) ([]string, error) {
 	if ci < 0 || ci >= c.schema.NumFields() {
 		return nil, &ShardError{Location: c.primary, Op: "dict", Err: fmt.Errorf("column %d out of range", ci)}
 	}
@@ -566,7 +558,7 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// IOStats implements shard.IOBackend: THIS shard's bytes over the wire
+// IOStats implements shard.Backend: THIS shard's bytes over the wire
 // and chunk fetches, so /api/stats and the bench counters see remote
 // I/O the way they see file I/O (a Set sums these across its shards).
 func (c *Client) IOStats() colstore.IOStats {
@@ -578,17 +570,11 @@ func (c *Client) IOStats() colstore.IOStats {
 
 // ---- chunk plane ----
 
-// FetchChunk implements storage.ChunkSource: cache lookup, then one
+// FetchChunkCtx implements storage.ChunkSource: cache lookup, then one
 // RPC + CRC check + decode on a miss. Payload contents are identical to
 // a local open of the same shard file — the wire carries the file's own
-// chunk encoding.
-func (c *Client) FetchChunk(ci, k int) (*storage.ChunkPayload, bool, error) {
-	return c.FetchChunkCtx(context.Background(), ci, k)
-}
-
-// FetchChunkCtx implements storage.CtxChunkSource: FetchChunk with the
-// request context riding into the RPC, so a traced exploration sees
-// which phase pulled which chunk over the wire.
+// chunk encoding. The request context rides into the RPC, so a traced
+// exploration sees which phase pulled which chunk over the wire.
 func (c *Client) FetchChunkCtx(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
 	if ci < 0 || ci >= c.schema.NumFields() || k < 0 || k >= c.numChunks() {
 		return nil, false, &ShardError{Location: c.primary, Op: "chunk", Err: fmt.Errorf("chunk (%d,%d) out of range", ci, k)}
@@ -602,7 +588,7 @@ func (c *Client) FetchChunkCtx(ctx context.Context, ci, k int) (*storage.ChunkPa
 func (c *Client) loadChunk(ctx context.Context, ci, k int) (*storage.ChunkPayload, error) {
 	dictLen := 0
 	if c.schema.Field(ci).Type == storage.String {
-		dict, err := c.dictsCtx(ctx, ci)
+		dict, err := c.DictsCtx(ctx, ci)
 		if err != nil {
 			return nil, err
 		}
@@ -636,7 +622,7 @@ func (c *Client) loadChunk(ctx context.Context, ci, k int) (*storage.ChunkPayloa
 	if hi := (k + 1) * c.chunkSize; hi > c.rows {
 		chunkRows = c.rows - k*c.chunkSize
 	}
-	p, err := colstore.DecodeChunk(data, c.schema.Field(ci), dictLen, chunkRows, k, c.version)
+	p, err := colstore.DecodeChunk(data, c.schema.Field(ci), dictLen, chunkRows, k, colstore.Version)
 	if err != nil {
 		return nil, &ShardError{Location: c.primary, Op: "chunk", Err: fmt.Errorf("chunk (%d,%d): %w", ci, k, err)}
 	}
@@ -649,19 +635,14 @@ func (c *Client) loadChunk(ctx context.Context, ci, k int) (*storage.ChunkPayloa
 // maxClientPrefetch bounds a shard's concurrent speculative fetches.
 const maxClientPrefetch = 2
 
-// PrefetchChunk implements storage.ChunkPrefetcher: an asynchronous,
+// PrefetchChunkCtx implements storage.ChunkPrefetcher: an asynchronous,
 // single-flight, eviction-aware fetch of the chunk a sequential scan
 // will touch next — this is where the fabric hides its round-trip
 // latency. Skipped when the chunk is resident, the cache has no room,
-// or enough prefetches are already in flight.
-func (c *Client) PrefetchChunk(ci, k int) {
-	c.PrefetchChunkCtx(nil, ci, k)
-}
-
-// PrefetchChunkCtx implements storage.CtxChunkPrefetcher: the
-// speculative RPC carries the request's values (resource ledger,
-// request ID) detached from its cancellation, so the fetch it hides
-// latency for is the query it bills.
+// or enough prefetches are already in flight. The speculative RPC
+// carries the request's values (resource ledger, request ID) detached
+// from its cancellation, so the fetch it hides latency for is the query
+// it bills.
 func (c *Client) PrefetchChunkCtx(ctx context.Context, ci, k int) {
 	if c.closed.Load() || ci < 0 || ci >= c.schema.NumFields() || k < 0 || k >= c.numChunks() {
 		return
@@ -680,37 +661,29 @@ func (c *Client) PrefetchChunkCtx(ctx context.Context, ci, k int) {
 		c.prefetching.Add(-1)
 		return
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	} else {
-		// Detach from cancellation and drop the trace span: the flight may
-		// outlive the request, and a span ended after its parent would
-		// malform the exported tree. The ledger and request ID stay.
-		ctx = obsv.WithSpan(context.WithoutCancel(ctx), nil)
-	}
+	// Detach from cancellation and drop the trace span: the flight may
+	// outlive the request, and a span ended after its parent would
+	// malform the exported tree. The ledger and request ID stay.
+	ctx = obsv.WithSpan(context.WithoutCancel(ctx), nil)
 	go func() {
 		defer c.prefetching.Add(-1)
 		_, _, _ = c.FetchChunkCtx(ctx, ci, k)
 	}()
 }
 
-// ---- statistics plane (shard.StatBackend) ----
+// ---- statistics plane ----
 
 // loadBatchStats fetches EVERY attribute's statistics in one round
-// trip on the first statistics-plane demand and reports whether the
-// cache is usable. Servers without the endpoint (old deployments
-// answer 404) or serving an undecodable body turn the batch off for
-// this client; callers then fall back to the per-attribute endpoints,
-// which also own error reporting — a dead batch plane never masks a
-// live per-attribute answer.
-func (c *Client) loadBatchStats(ctx context.Context) bool {
+// trip on the first statistics-plane demand; later calls answer from
+// memory. The batch response is validated as part of the RPC, so a
+// truncated or corrupt body is retried and failed over like a
+// transport error; a fetch that still fails surfaces as a *ShardError
+// and is retried on the next demand.
+func (c *Client) loadBatchStats(ctx context.Context) error {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
 	if c.numStats != nil {
-		return true
-	}
-	if c.batchOff {
-		return false
+		return nil
 	}
 	req := batchReqDTO{Attrs: make([]string, c.schema.NumFields())}
 	for i := range req.Attrs {
@@ -718,33 +691,35 @@ func (c *Client) loadBatchStats(ctx context.Context) bool {
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		c.batchOff = true
-		return false
+		return &ShardError{Location: c.primary, Op: "batchstats", Err: err}
 	}
+	var num map[string][]float64
+	var cat map[string]catCountsDTO
+	var boolc map[string]boolCountsDTO
 	check := func(data []byte, _ http.Header) error {
-		_, _, _, _, err := c.parseBatchStats(data)
+		var err error
+		num, cat, boolc, err = parseBatchStats(data)
 		return err
 	}
-	data, _, err := c.do(ctx, "batchstats", http.MethodPost, "/shard/v1/batchstats", nil, body, check)
-	if err != nil {
-		c.batchOff = true
-		return false
-	}
-	num, cat, boolc, _, err := c.parseBatchStats(data)
-	if err != nil {
-		c.batchOff = true
-		return false
+	if _, _, err := c.do(ctx, "batchstats", http.MethodPost, "/shard/v1/batchstats", nil, body, check); err != nil {
+		return err
 	}
 	c.numStats, c.catStats, c.boolStats = num, cat, boolc
-	return true
+	return nil
+}
+
+// missingStat is the error of an attribute the batch answer left out.
+func (c *Client) missingStat(ctx context.Context, attr string) error {
+	return &ShardError{Location: c.primary, Op: "batchstats", RequestID: obsv.RequestIDFrom(ctx),
+		Err: fmt.Errorf("no statistics for attribute %q", attr)}
 }
 
 // parseBatchStats decodes and validates a batchstats body (it doubles
 // as the retryable response check of the batch RPC).
-func (c *Client) parseBatchStats(data []byte) (map[string][]float64, map[string]catCountsDTO, map[string]boolCountsDTO, int, error) {
+func parseBatchStats(data []byte) (map[string][]float64, map[string]catCountsDTO, map[string]boolCountsDTO, error) {
 	hdr, blob, err := decodeBatch(data)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, nil, err
 	}
 	num := make(map[string][]float64)
 	cat := make(map[string]catCountsDTO)
@@ -752,17 +727,17 @@ func (c *Client) parseBatchStats(data []byte) (map[string][]float64, map[string]
 	for _, st := range hdr.Stats {
 		switch st.Kind {
 		case "numeric":
-			if st.Off < 0 || st.Count < 0 || st.Off+st.Count*8 > len(blob) {
-				return nil, nil, nil, 0, fmt.Errorf("batch stat %q: %d values at offset %d overflow %d blob bytes", st.Attr, st.Count, st.Off, len(blob))
+			if st.Off < 0 || st.Count < 0 || st.Off > len(blob) || st.Count > (len(blob)-st.Off)/8 {
+				return nil, nil, nil, fmt.Errorf("batch stat %q: %d values at offset %d overflow %d blob bytes", st.Attr, st.Count, st.Off, len(blob))
 			}
 			vals, err := decodeFloats(blob[st.Off : st.Off+st.Count*8])
 			if err != nil {
-				return nil, nil, nil, 0, err
+				return nil, nil, nil, err
 			}
 			num[st.Attr] = vals
 		case "cat":
 			if len(st.Dict) != len(st.Counts) {
-				return nil, nil, nil, 0, fmt.Errorf("batch stat %q: %d dictionary entries with %d counts", st.Attr, len(st.Dict), len(st.Counts))
+				return nil, nil, nil, fmt.Errorf("batch stat %q: %d dictionary entries with %d counts", st.Attr, len(st.Dict), len(st.Counts))
 			}
 			d := st.Dict
 			if d == nil {
@@ -772,59 +747,10 @@ func (c *Client) parseBatchStats(data []byte) (map[string][]float64, map[string]
 		case "bool":
 			boolc[st.Attr] = boolCountsDTO{Falses: st.Falses, Trues: st.Trues}
 		default:
-			return nil, nil, nil, 0, fmt.Errorf("batch stat %q: unknown kind %q", st.Attr, st.Kind)
+			return nil, nil, nil, fmt.Errorf("batch stat %q: unknown kind %q", st.Attr, st.Kind)
 		}
 	}
-	return num, cat, boolc, len(hdr.Stats), nil
-}
-
-// batchNumeric answers NumericValues from the batch cache. The slice
-// is copied out: callers sort their copy in place, and the cached row
-// order must survive for the next exploration's sketch replay.
-func (c *Client) batchNumeric(ctx context.Context, attr string) ([]float64, bool) {
-	if !c.loadBatchStats(ctx) {
-		return nil, false
-	}
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	vals, ok := c.numStats[attr]
-	if !ok {
-		return nil, false
-	}
-	out := make([]float64, len(vals))
-	copy(out, vals)
-	return out, true
-}
-
-// batchCat answers CategoryCounts from the batch cache (counts copied;
-// the shared dictionary is read-only by contract).
-func (c *Client) batchCat(ctx context.Context, attr string) ([]string, []int, bool) {
-	if !c.loadBatchStats(ctx) {
-		return nil, nil, false
-	}
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	dto, ok := c.catStats[attr]
-	if !ok {
-		return nil, nil, false
-	}
-	counts := make([]int, len(dto.Counts))
-	copy(counts, dto.Counts)
-	return dto.Dict, counts, true
-}
-
-// batchBool answers BoolCounts from the batch cache.
-func (c *Client) batchBool(ctx context.Context, attr string) (int, int, bool) {
-	if !c.loadBatchStats(ctx) {
-		return 0, 0, false
-	}
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	dto, ok := c.boolStats[attr]
-	if !ok {
-		return 0, 0, false
-	}
-	return dto.Falses, dto.Trues, true
+	return num, cat, boolc, nil
 }
 
 // cachedBatchDict returns column ci's dictionary if a batch fetch
@@ -844,62 +770,54 @@ func (c *Client) cachedBatchDict(ci int) ([]string, bool) {
 	return dto.Dict, true
 }
 
-// NumericValues implements shard.StatBackend: the shard's non-NULL
-// values in row order, as one binary stream.
+// NumericValues implements shard.RemoteBackend: the shard's non-NULL
+// values in row order, from the batch cache. The slice is copied out:
+// callers sort their copy in place, and the cached row order must
+// survive for the next exploration's sketch replay.
 func (c *Client) NumericValues(ctx context.Context, attr string) ([]float64, error) {
-	if vals, ok := c.batchNumeric(ctx, attr); ok {
-		return vals, nil
-	}
-	check := func(data []byte, hdr http.Header) error {
-		if cs := hdr.Get(headerCount); cs != "" {
-			if want, err := strconv.Atoi(cs); err == nil && want*8 != len(data) {
-				return fmt.Errorf("truncated value stream for %q: got %d of %d bytes", attr, len(data), want*8)
-			}
-		}
-		if len(data)%8 != 0 {
-			return fmt.Errorf("value stream for %q: %d bytes is not a multiple of 8", attr, len(data))
-		}
-		return nil
-	}
-	data, _, err := c.do(ctx, "values", http.MethodGet, "/shard/v1/values", url.Values{"attr": {attr}}, nil, check)
-	if err != nil {
+	if err := c.loadBatchStats(ctx); err != nil {
 		return nil, err
 	}
-	vals, err := decodeFloats(data)
-	if err != nil {
-		return nil, &ShardError{Location: c.primary, Op: "values", Err: err}
+	c.statsMu.Lock()
+	defer c.statsMu.Unlock()
+	vals, ok := c.numStats[attr]
+	if !ok {
+		return nil, c.missingStat(ctx, attr)
 	}
-	return vals, nil
+	return slices.Clone(vals), nil
 }
 
-// CategoryCounts implements shard.StatBackend (local dictionary space).
+// CategoryCounts implements shard.RemoteBackend (local dictionary
+// space), from the batch cache: counts copied, the shared dictionary is
+// read-only by contract.
 func (c *Client) CategoryCounts(ctx context.Context, attr string) ([]string, []int, error) {
-	if dict, counts, ok := c.batchCat(ctx, attr); ok {
-		return dict, counts, nil
-	}
-	var dto catCountsDTO
-	if err := c.getJSON(ctx, "catcounts", "/shard/v1/catcounts", url.Values{"attr": {attr}}, &dto); err != nil {
+	if err := c.loadBatchStats(ctx); err != nil {
 		return nil, nil, err
 	}
-	if len(dto.Dict) != len(dto.Counts) {
-		return nil, nil, &ShardError{Location: c.primary, Op: "catcounts", Err: fmt.Errorf("%d dictionary entries with %d counts", len(dto.Dict), len(dto.Counts))}
+	c.statsMu.Lock()
+	defer c.statsMu.Unlock()
+	dto, ok := c.catStats[attr]
+	if !ok {
+		return nil, nil, c.missingStat(ctx, attr)
 	}
-	return dto.Dict, dto.Counts, nil
+	return dto.Dict, slices.Clone(dto.Counts), nil
 }
 
-// BoolCounts implements shard.StatBackend.
+// BoolCounts implements shard.RemoteBackend, from the batch cache.
 func (c *Client) BoolCounts(ctx context.Context, attr string) (int, int, error) {
-	if falses, trues, ok := c.batchBool(ctx, attr); ok {
-		return falses, trues, nil
-	}
-	var dto boolCountsDTO
-	if err := c.getJSON(ctx, "boolcounts", "/shard/v1/boolcounts", url.Values{"attr": {attr}}, &dto); err != nil {
+	if err := c.loadBatchStats(ctx); err != nil {
 		return 0, 0, err
+	}
+	c.statsMu.Lock()
+	defer c.statsMu.Unlock()
+	dto, ok := c.boolStats[attr]
+	if !ok {
+		return 0, 0, c.missingStat(ctx, attr)
 	}
 	return dto.Falses, dto.Trues, nil
 }
 
-// ColumnPartials implements shard.StatBackend: every requested column's
+// ColumnPartials implements shard.RemoteBackend: every requested column's
 // mergeable bundle in one round trip.
 func (c *Client) ColumnPartials(ctx context.Context, specs []shard.PartialSpec) ([]*shard.ColumnPartial, error) {
 	req := partialsReqDTO{Specs: make([]partialSpecDTO, len(specs))}
@@ -928,31 +846,13 @@ func (c *Client) ColumnPartials(ctx context.Context, specs []shard.PartialSpec) 
 	return out, nil
 }
 
-// PredicateCount implements shard.StatBackend: the per-predicate bitmap
-// count, answered where the shard lives.
-func (c *Client) PredicateCount(ctx context.Context, p query.Predicate) (int, error) {
+// PredicateBits implements shard.RemoteBackend: the predicate's exact
+// selection bitmap alongside its count, so the coordinator assembles
+// session bases without touching the chunk plane.
+func (c *Client) PredicateBits(ctx context.Context, p query.Predicate) (int, []uint64, error) {
 	var dto countDTO
 	if err := c.postJSON(ctx, "predcount", "/shard/v1/predcount", predToDTO(p), &dto); err != nil {
-		return 0, err
-	}
-	return dto.Count, nil
-}
-
-// PredicateBits implements shard.PredBitsBackend: the predicate's
-// exact selection bitmap alongside its count, so the coordinator
-// assembles non-empty session bases without touching the chunk plane.
-// Old servers ignore the wantBits request field and answer count-only;
-// words is nil then and the caller decides (empty stays chunk-free,
-// non-empty falls back to scanning).
-func (c *Client) PredicateBits(ctx context.Context, p query.Predicate) (int, []uint64, error) {
-	d := predToDTO(p)
-	d.WantBits = true
-	var dto countDTO
-	if err := c.postJSON(ctx, "predcount", "/shard/v1/predcount", d, &dto); err != nil {
 		return 0, nil, err
-	}
-	if dto.Bits == "" {
-		return dto.Count, nil, nil
 	}
 	words, err := decodeWords(dto.Bits)
 	if err != nil {
@@ -967,7 +867,7 @@ func (c *Client) PredicateBits(ctx context.Context, p query.Predicate) (int, []u
 	return dto.Count, words, nil
 }
 
-// ServerStats implements shard.ServerStatsBackend: one RPC fetching
+// ServerStats implements shard.RemoteBackend: one RPC fetching
 // the shard server's own counter snapshot for fleet rollup.
 func (c *Client) ServerStats(ctx context.Context) (shard.ServerStats, error) {
 	var dto shardStatsDTO
@@ -987,7 +887,7 @@ func (c *Client) ServerStats(ctx context.Context) (shard.ServerStats, error) {
 	}, nil
 }
 
-// Health implements shard.HealthBackend: one uncached round trip,
+// Health implements shard.RemoteBackend: one uncached round trip,
 // timed.
 func (c *Client) Health() (time.Duration, error) {
 	start := time.Now()

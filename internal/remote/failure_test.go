@@ -1,13 +1,16 @@
 package remote
 
 import (
+	"context"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/query"
@@ -66,8 +69,7 @@ func assertNamedShardError(t *testing.T, err error, url string) {
 // statistics); metadata requests stay healthy so the set opens and the
 // failure hits mid-exploration — the harder case.
 func dataPlane(r *http.Request) bool {
-	return strings.HasSuffix(r.URL.Path, "/chunk") || strings.HasSuffix(r.URL.Path, "/values") ||
-		strings.HasSuffix(r.URL.Path, "/catcounts") || strings.HasSuffix(r.URL.Path, "/boolcounts")
+	return strings.HasSuffix(r.URL.Path, "/chunk") || strings.HasSuffix(r.URL.Path, "/batchstats")
 }
 
 func TestRemoteShardTimeout(t *testing.T) {
@@ -182,8 +184,9 @@ func TestRemoteCorruptChunk(t *testing.T) {
 	}
 }
 
-// TestRemoteStatsPlaneError injects a 500 on the statistics plane and
-// checks the session path also fails with a named error.
+// TestRemoteStatsPlaneError injects a 500 on the statistics plane's
+// batchstats endpoint and checks the session path fails with a named
+// error — the failure is reported, not routed around or latched.
 func TestRemoteStatsPlaneError(t *testing.T) {
 	tbl := datagen.Census(4_000, 29)
 	local := writeShardedInputs(t, tbl, 2, 256)
@@ -192,9 +195,7 @@ func TestRemoteStatsPlaneError(t *testing.T) {
 			return h
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			// Break both the per-attribute endpoint and its batch
-			// shortcut, else the client just routes around the fault.
-			if strings.HasSuffix(r.URL.Path, "/values") || strings.HasSuffix(r.URL.Path, "/batchstats") {
+			if strings.HasSuffix(r.URL.Path, "/batchstats") {
 				http.Error(w, "synthetic shard failure", http.StatusInternalServerError)
 				return
 			}
@@ -250,4 +251,43 @@ func (r *recorder) WriteHeader(status int) { r.status = status }
 func (r *recorder) Write(p []byte) (int, error) {
 	r.body = append(r.body, p...)
 	return len(p), nil
+}
+
+// TestRequestBodyTooLarge: every POST endpoint of the fabric refuses a
+// body over maxRequestBody with 413 and the named error, and a client
+// sees that as a non-retryable failure.
+func TestRequestBodyTooLarge(t *testing.T) {
+	local := writeShardedInputs(t, datagen.Census(1_000, 3), 1, 256)
+	f := startFabric(t, local, nil)
+	huge := `{"attr": "` + strings.Repeat("x", maxRequestBody) + `"}`
+	for _, ep := range []string{"batchstats", "partials", "predcount"} {
+		resp, err := http.Post(f.servers[0].URL+"/shard/v1/"+ep, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", ep, resp.StatusCode)
+		}
+		if got := strings.TrimSpace(string(msg)); got != ErrBodyTooLarge.Error() {
+			t.Errorf("%s: body %q, want %q", ep, got, ErrBodyTooLarge)
+		}
+	}
+
+	opener := testOpener()
+	be, err := opener.OpenShardCtx(context.Background(), []string{f.servers[0].URL}, colstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	before := opener.Stats().RPCs
+	_, _, err = be.PredicateBits(context.Background(), query.NewIn("sex", strings.Repeat("x", maxRequestBody)))
+	var se *ShardError
+	if !errors.As(err, &se) || se.Op != "predcount" || !strings.Contains(err.Error(), "413") {
+		t.Errorf("oversized predcount: err = %v, want a predcount ShardError carrying the 413", err)
+	}
+	if rpcs := opener.Stats().RPCs - before; rpcs != 1 {
+		t.Errorf("oversized predcount took %d attempts, want 1 (a 413 is not retryable)", rpcs)
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/query"
 	"repro/internal/shard"
+	"repro/internal/storage"
 )
 
 // fabricCounters bundles every counter plane the ledger mirrors:
@@ -152,6 +153,58 @@ func testLedgerExactness(t *testing.T, deferOpen bool) {
 			if s.ChunksScanned+s.ChunksPruned+s.ChunksFull == 0 {
 				t.Errorf("cold pass billed no chunk verdicts: %+v", s)
 			}
+		}
+	}
+}
+
+// TestLedgerPrefetchBilled: a prefetch hint issued under a ledger
+// context on a set-backed lazy column over a remote shard must bill its
+// speculative RPC and decode to that ledger, matching the opener's own
+// counters. The hint crosses three chunk sources — the set's routing
+// source, the shard view offset, and the fabric client — and each must
+// carry the context through.
+func TestLedgerPrefetchBilled(t *testing.T) {
+	tbl := datagen.Census(2_000, 47)
+	local := writeShardedInputs(t, tbl, 2, 256)
+	f := startFabric(t, local, nil)
+	opener := testOpener()
+	set, err := shard.OpenWith(f.manifest, shard.Options{Remote: opener})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+
+	ci := set.Table().Schema().Index("age")
+	for name, tb := range map[string]*storage.Table{"combined": set.Table(), "view": set.ShardTable(1)} {
+		col, ok := tb.Column(ci).(*storage.LazyColumn)
+		if !ok {
+			t.Fatalf("%s: age is %T, want a lazy column", name, tb.Column(ci))
+		}
+		led := obsv.NewLedger()
+		ctx := obsv.WithLedger(context.Background(), led)
+		before := opener.Stats()
+		col.PrefetchHintCtx(ctx, 1)
+
+		deadline := time.Now().Add(10 * time.Second)
+		for opener.Stats().ChunkFetches == before.ChunkFetches {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: prefetch never fetched the chunk", name)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		var s obsv.LedgerSnapshot
+		after := waitSettled(t, func() fabricCounters {
+			s = led.Snapshot()
+			return fabricCounters{fab: opener.Stats()}
+		}).fab
+		if s.RPCs != 1 || s.RPCs != after.RPCs-before.RPCs {
+			t.Errorf("%s: ledger RPCs = %d, opener delta = %d, want 1", name, s.RPCs, after.RPCs-before.RPCs)
+		}
+		if s.StoreChunksDecoded != 1 {
+			t.Errorf("%s: ledger StoreChunksDecoded = %d, want 1", name, s.StoreChunksDecoded)
+		}
+		if s.BytesWire == 0 || s.BytesWire != after.BytesIn-before.BytesIn {
+			t.Errorf("%s: ledger BytesWire = %d, opener delta = %d", name, s.BytesWire, after.BytesIn-before.BytesIn)
 		}
 	}
 }

@@ -91,20 +91,20 @@ func NewOpener(o Options) *Opener {
 	return &Opener{opts: o, hc: &http.Client{Timeout: o.Timeout, Transport: transport}}
 }
 
-// OpenShard implements shard.RemoteOpener: it dials the shard's meta
-// and zones endpoints (rotating across the replica locations, primary
-// first) and returns a backend whose chunk fetches feed the set's
-// shared decoded-chunk cache (store.Cache; a private cache is created
-// when the caller shares none).
+// OpenShard dials the shard's meta and zones endpoints (rotating
+// across the replica locations, primary first) and returns a backend
+// whose chunk fetches feed the set's shared decoded-chunk cache
+// (store.Cache; a private cache is created when the caller shares
+// none).
 func (o *Opener) OpenShard(locations []string, store colstore.Options) (shard.Backend, error) {
 	return o.OpenShardCtx(context.Background(), locations, store)
 }
 
-// OpenShardCtx is OpenShard with the caller's context riding into the
-// open's metadata and zone-map round trips — when a query forces a
-// deferred shard open, those RPCs are traced and billed to that query.
-// It implements shard.CtxRemoteOpener.
-func (o *Opener) OpenShardCtx(ctx context.Context, locations []string, store colstore.Options) (shard.Backend, error) {
+// OpenShardCtx implements shard.RemoteOpener: OpenShard with the
+// caller's context riding into the open's metadata and zone-map round
+// trips — when a query forces a deferred shard open, those RPCs are
+// traced and billed to that query.
+func (o *Opener) OpenShardCtx(ctx context.Context, locations []string, store colstore.Options) (shard.RemoteBackend, error) {
 	if len(locations) == 0 {
 		return nil, fmt.Errorf("remote: no locations to open")
 	}

@@ -2,12 +2,11 @@ package remote
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 	"time"
 
@@ -92,21 +91,6 @@ func testOpener() *Opener {
 	return NewOpener(Options{Timeout: 10 * time.Second})
 }
 
-// renderResult flattens a Result into a deterministic string (everything
-// except timing) — the byte-identity yardstick shared with the shard
-// package's tests.
-func renderResult(r *core.Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s | base=%d/%d\n", r.Input.String(), r.BaseCount, r.TotalRows)
-	for _, f := range r.Flagged {
-		fmt.Fprintf(&b, "flag %s %s\n", f.Attr, f.Reason)
-	}
-	for _, m := range r.Maps {
-		b.WriteString(m.String())
-	}
-	return b.String()
-}
-
 // TestRemoteExploreByteIdentical is the tentpole acceptance test: a
 // sharded Explore whose shards are served over the fabric must be
 // byte-identical to the local sharded run — and to the unsharded
@@ -130,7 +114,7 @@ func TestRemoteExploreByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs[qi] = renderResult(ref)
+		refs[qi] = ref.Canonical()
 	}
 	for _, shards := range []int{1, 2, 4} {
 		local := writeShardedInputs(t, tbl, shards, 256)
@@ -152,7 +136,7 @@ func TestRemoteExploreByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("shards=%d workers=%d query %d: %v", shards, workers, qi, err)
 				}
-				if got := renderResult(res); got != refs[qi] {
+				if got := res.Canonical(); got != refs[qi] {
 					t.Errorf("shards=%d workers=%d query %d: remote result differs from unsharded\nwant:\n%s\ngot:\n%s",
 						shards, workers, qi, refs[qi], got)
 				}
@@ -246,12 +230,12 @@ func TestRemoteSessionMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := []string{renderResult(node.Result)}
+		out := []string{node.Result.Canonical()}
 		node, err = sess.DrillDown(0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, renderResult(node.Result))
+		out = append(out, node.Result.Canonical())
 		return out
 	}
 	localRes := run(localSet)
@@ -295,7 +279,7 @@ func TestRemoteSessionPredCountSkipsChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return renderResult(node.Result)
+		return node.Result.Canonical()
 	}
 	localSet, err := shard.Open(local)
 	if err != nil {
@@ -397,7 +381,8 @@ func TestRemotePartialsMatchLocal(t *testing.T) {
 }
 
 // TestRemotePredicateCount checks the statistics plane's per-predicate
-// bitmap counts against a local scan of the same shard.
+// bitmaps — their counts and every word — against a local scan of the
+// same shard.
 func TestRemotePredicateCount(t *testing.T) {
 	tbl := datagen.Census(5_000, 5)
 	local := writeShardedInputs(t, tbl, 2, 256)
@@ -419,7 +404,7 @@ func TestRemotePredicateCount(t *testing.T) {
 	}
 	for pi, p := range preds {
 		for i := 0; i < remoteSet.NumShards(); i++ {
-			got, ok, err := remoteSet.RemotePredicateCount(context.Background(), i, p)
+			bm, ok, err := remoteSet.RemotePredicateBits(context.Background(), i, p)
 			if err != nil {
 				t.Fatalf("pred %d shard %d: %v", pi, i, err)
 			}
@@ -431,14 +416,17 @@ func TestRemotePredicateCount(t *testing.T) {
 			if err := engine.EvalAndIntoOpts(view, query.New("census", p), sel, engine.ScanOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			if want := sel.Count(); got != want {
+			if got, want := bm.Count(), sel.Count(); got != want {
 				t.Errorf("pred %d shard %d: remote count %d, local %d", pi, i, got, want)
+			}
+			if !slices.Equal(bm.Words(), sel.Words()) {
+				t.Errorf("pred %d shard %d: remote bitmap differs from the local scan", pi, i)
 			}
 		}
 	}
 	// Local sets have no statistics plane.
-	if _, ok, err := localSet.RemotePredicateCount(context.Background(), 0, preds[0]); err != nil || ok {
-		t.Errorf("local set RemotePredicateCount = ok=%v err=%v, want ok=false", ok, err)
+	if _, ok, err := localSet.RemotePredicateBits(context.Background(), 0, preds[0]); err != nil || ok {
+		t.Errorf("local set RemotePredicateBits = ok=%v err=%v, want ok=false", ok, err)
 	}
 }
 
@@ -503,11 +491,11 @@ func TestEagerStoreChunkPlane(t *testing.T) {
 	want := lazy.Source()
 	for ci := 0; ci < tbl.NumCols(); ci++ {
 		for k := 0; k < eager.NumChunks(); k++ {
-			gp, _, err := src.FetchChunk(ci, k)
+			gp, _, err := src.FetchChunkCtx(context.Background(), ci, k)
 			if err != nil {
 				t.Fatalf("remote chunk (%d,%d): %v", ci, k, err)
 			}
-			wp, _, err := want.FetchChunk(ci, k)
+			wp, _, err := want.FetchChunkCtx(context.Background(), ci, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,20 +9,20 @@
 // # Two RPC planes
 //
 // The statistics plane answers per-shard aggregate questions where the
-// data lives — values in row order, category and boolean counts,
-// mergeable ColumnPartial bundles (fixed-edge histograms, GK sketches),
-// per-predicate bitmap counts — so a sharded exploration's column
-// statistics fan out as N small requests and reduce through the
-// existing merge layer (internal/shard/partial.go), byte-identical to
-// the local computation.
+// data lives — every attribute's values in row order, category and
+// boolean counts in one batch, mergeable ColumnPartial bundles
+// (fixed-edge histograms, GK sketches), per-predicate selection
+// bitmaps — so a sharded exploration's column statistics fan out as N
+// small requests and reduce through the existing merge layer
+// (internal/shard/partial.go), byte-identical to the local computation.
 //
 // The chunk plane serves raw encoded chunk payloads by (column, chunk):
 // the coordinator's storage.ChunkSource for that shard, feeding the
 // shared decoded-chunk cache. The wire format IS the .atl chunk
-// encoding, so v3 per-chunk CRCs travel along and are re-verified on
-// the client; zone-map pruning and manifest-level shard pruning
-// (ShardMayMatch, deferred opens) skip whole requests the way they skip
-// file reads locally.
+// encoding, so the file's per-chunk CRCs travel along and are
+// re-verified on the client; zone-map pruning and manifest-level shard
+// pruning (ShardMayMatch, deferred opens) skip whole requests the way
+// they skip file reads locally.
 //
 // # Endpoints (all under /shard/v1/)
 //
@@ -30,24 +30,26 @@
 //	GET  zones                        per-(column, chunk) zone maps
 //	GET  dict?col=N                   string column dictionary
 //	GET  chunk?col=N&chunk=K          raw encoded chunk bytes + CRC header
-//	GET  values?attr=A                non-NULL numeric values, row order (binary)
-//	GET  catcounts?attr=A             per-code counts, local dictionary
-//	GET  boolcounts?attr=A            (false, true) tallies
-//	POST batchstats                   every listed attribute's stats, one trip
+//	POST batchstats                   every listed attribute's stats, one trip:
+//	                                  numeric values in row order (binary),
+//	                                  category counts, (false, true) tallies
 //	POST partials                     mergeable ColumnPartial per requested column
-//	POST predcount                    rows matching one predicate (+ its bitmap
-//	                                  when the request sets wantBits)
+//	POST predcount                    rows matching one predicate + its bitmap
 //	GET  health                       liveness probe
+//	GET  stats                        the server's own counters
+//
+// Request bodies are capped at maxRequestBody bytes; a larger one is
+// refused with 413.
 //
 // Shard tables are immutable, so the server memoizes each attribute's
-// statistics the first time any stats endpoint asks for them; repeat
-// RPCs — and the batchstats fan-in — answer from that cache instead of
-// rescanning the column.
+// statistics the first time batchstats asks for them; repeat RPCs
+// answer from that cache instead of rescanning the column.
 package remote
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -59,7 +61,6 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/engine"
 	"repro/internal/obsv"
-	"repro/internal/query"
 	"repro/internal/shard"
 	"repro/internal/storage"
 )
@@ -216,9 +217,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /shard/v1/zones", s.wrap("zones", s.handleZones))
 	mux.HandleFunc("GET /shard/v1/dict", s.wrap("dict", s.handleDict))
 	mux.HandleFunc("GET /shard/v1/chunk", s.wrap("chunk", s.handleChunk))
-	mux.HandleFunc("GET /shard/v1/values", s.wrap("values", s.handleValues))
-	mux.HandleFunc("GET /shard/v1/catcounts", s.wrap("catcounts", s.handleCatCounts))
-	mux.HandleFunc("GET /shard/v1/boolcounts", s.wrap("boolcounts", s.handleBoolCounts))
 	mux.HandleFunc("POST /shard/v1/batchstats", s.wrap("batchstats", s.handleBatchStats))
 	mux.HandleFunc("POST /shard/v1/partials", s.wrap("partials", s.handlePartials))
 	mux.HandleFunc("POST /shard/v1/predcount", s.wrap("predcount", s.handlePredCount))
@@ -434,90 +432,63 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	s.writeBody(w, "application/octet-stream", raw)
 }
 
-// attrStatus classifies an attr parameter: 400 when the request itself
-// is wrong (unknown attribute, wrong type family — retrying cannot
-// help), leaving later compute failures to surface as 500 so the
-// client's transient-failure retry applies to them.
-func (s *Server) attrStatus(attr string, want func(storage.DataType) bool) error {
+// attrType resolves an attribute name: an unknown one is a 400 (the
+// request itself is wrong — retrying cannot help), leaving later
+// compute failures to surface as 500 so the client's transient-failure
+// retry applies to them.
+func (s *Server) attrType(attr string) (storage.DataType, error) {
 	for _, f := range s.tbl.Schema().Fields() {
 		if f.Name == attr {
-			if !want(f.Type) {
-				return fmt.Errorf("attribute %q has the wrong type for this endpoint", attr)
-			}
-			return nil
+			return f.Type, nil
 		}
 	}
-	return fmt.Errorf("unknown attribute %q", attr)
+	return 0, fmt.Errorf("unknown attribute %q", attr)
 }
 
-func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
-	attr := r.URL.Query().Get("attr")
-	if err := s.attrStatus(attr, storage.DataType.IsNumeric); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	e, err := s.statFor(r.Context(), attr)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set(headerCount, strconv.Itoa(e.count))
-	s.writeBody(w, "application/octet-stream", e.enc)
-}
+// maxRequestBody caps every fabric request body. The largest legitimate
+// one — batchstats naming every attribute, or a predcount IN list — is
+// a few KB; 1 MiB leaves ample room while keeping one request from
+// buffering unbounded bytes.
+const maxRequestBody = 1 << 20
 
-func (s *Server) handleCatCounts(w http.ResponseWriter, r *http.Request) {
-	attr := r.URL.Query().Get("attr")
-	if err := s.attrStatus(attr, func(t storage.DataType) bool { return t == storage.String }); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	e, err := s.statFor(r.Context(), attr)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.writeJSON(w, catCountsDTO{Dict: e.dict, Counts: e.counts})
-}
+// ErrBodyTooLarge is the named refusal of a request body over
+// maxRequestBody, answered with 413.
+var ErrBodyTooLarge = fmt.Errorf("remote: request body exceeds %d bytes", maxRequestBody)
 
-func (s *Server) handleBoolCounts(w http.ResponseWriter, r *http.Request) {
-	attr := r.URL.Query().Get("attr")
-	if err := s.attrStatus(attr, func(t storage.DataType) bool { return t == storage.Bool }); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+// decodeBody decodes a JSON request body of at most maxRequestBody
+// bytes into v, answering the error itself (413 for an oversized body,
+// 400 for a malformed one). It reports whether decoding succeeded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
 	}
-	e, err := s.statFor(r.Context(), attr)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge, ErrBodyTooLarge)
+	} else {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 	}
-	s.writeJSON(w, boolCountsDTO{Falses: e.falses, Trues: e.trues})
+	return false
 }
 
 // handleBatchStats answers every listed attribute's statistics in one
 // response: a JSON header locating each numeric attribute's float
-// stream in the binary blob that follows (see encodeBatch). All
-// answers come from the same memoized entries the per-attribute
-// endpoints use.
+// stream in the binary blob that follows (see encodeBatch), categorical
+// and boolean answers inline. All answers come from the memoized
+// per-attribute entries.
 func (s *Server) handleBatchStats(w http.ResponseWriter, r *http.Request) {
 	var req batchReqDTO
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	schema := s.tbl.Schema()
 	hdr := batchHeaderDTO{Stats: make([]batchStatDTO, 0, len(req.Attrs))}
 	var blob []byte
 	for _, attr := range req.Attrs {
-		if err := s.attrStatus(attr, func(storage.DataType) bool { return true }); err != nil {
+		typ, err := s.attrType(attr)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
-		}
-		var typ storage.DataType
-		for _, f := range schema.Fields() {
-			if f.Name == attr {
-				typ = f.Type
-				break
-			}
 		}
 		e, err := s.statFor(r.Context(), attr)
 		if err != nil {
@@ -544,8 +515,7 @@ func (s *Server) handleBatchStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePartials(w http.ResponseWriter, r *http.Request) {
 	var req partialsReqDTO
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	_, psp := obsv.StartSpan(r.Context(), "partials compute")
@@ -580,10 +550,11 @@ func (s *Server) handlePartials(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, out)
 }
 
+// handlePredCount answers a predicate's selection bitmap with its
+// count, so session base assembly skips the chunk plane.
 func (s *Server) handlePredCount(w http.ResponseWriter, r *http.Request) {
 	var dto predDTO
-	if err := json.NewDecoder(r.Body).Decode(&dto); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+	if !decodeBody(w, r, &dto) {
 		return
 	}
 	p, err := predFromDTO(dto)
@@ -591,29 +562,18 @@ func (s *Server) handlePredCount(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.attrStatus(p.Attr, func(storage.DataType) bool { return true }); err != nil {
+	if _, err := s.attrType(p.Attr); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	_, psp := obsv.StartSpan(r.Context(), "predicate eval")
 	defer psp.End()
-	if dto.WantBits {
-		// The caller wants the selection bitmap itself, so session base
-		// assembly can skip the chunk plane even for non-empty answers.
-		sel, err := engine.EvalPredicate(s.tbl, p)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		s.writeJSON(w, countDTO{Count: sel.Count(), Bits: encodeWords(sel.Words())})
-		return
-	}
-	n, err := engine.Count(s.tbl, query.New(s.tbl.Name(), p))
+	sel, err := engine.EvalPredicate(s.tbl, p)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeJSON(w, countDTO{Count: n})
+	s.writeJSON(w, countDTO{Count: sel.Count(), Bits: encodeWords(sel.Words())})
 }
 
 // handleStats answers GET /shard/v1/stats: the server's own counters

@@ -17,13 +17,9 @@ func TestServerStatsRPC(t *testing.T) {
 	manifest := writeShardedInputs(t, datagen.Census(3_000, 23), 2, 256)
 	f := startFabric(t, manifest, nil)
 
-	be, err := testOpener().OpenShard([]string{f.servers[0].URL}, colstore.Options{})
+	sb, err := testOpener().OpenShardCtx(context.Background(), []string{f.servers[0].URL}, colstore.Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	sb, ok := be.(shard.ServerStatsBackend)
-	if !ok {
-		t.Fatal("fabric client does not implement shard.ServerStatsBackend")
 	}
 	st, err := sb.ServerStats(context.Background())
 	if err != nil {
@@ -58,7 +54,7 @@ func TestServerStatsRPC(t *testing.T) {
 	// The DTO carries the build version (used by fleet dashboards to
 	// spot mixed-version deployments).
 	var dto shardStatsDTO
-	c := be.(*Client)
+	c := sb.(*Client)
 	if err := c.getJSON(context.Background(), "stats", "/shard/v1/stats", nil, &dto); err != nil {
 		t.Fatal(err)
 	}

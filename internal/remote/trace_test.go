@@ -172,7 +172,7 @@ func TestUntracedExploreStaysUntraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	if _, _, err := set.RemotePredicateCount(context.Background(), 0, query.NewRange("age", 10, 60)); err != nil {
+	if _, _, err := set.RemotePredicateBits(context.Background(), 0, query.NewRange("age", 10, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -193,7 +193,7 @@ func TestShardErrorCarriesRequestID(t *testing.T) {
 	rf.injectors[0][0].KillAfter(0)
 
 	ctx := obsv.WithRequestID(context.Background(), "q-cafe01")
-	_, _, err = set.RemotePredicateCount(ctx, 0, query.NewRange("age", 0, 50))
+	_, _, err = set.RemotePredicateBits(ctx, 0, query.NewRange("age", 0, 50))
 	if err == nil {
 		t.Fatal("predicate count succeeded against a dead shard")
 	}

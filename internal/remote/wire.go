@@ -43,7 +43,7 @@ func parseFbits(s string) (float64, error) {
 // Header names of the chunk plane.
 const (
 	// headerChunkCRC carries the chunk payload's CRC-32 (IEEE) in hex —
-	// for v3 shard files, the same CRC the on-disk directory stores.
+	// for lazy shard files, the same CRC the on-disk directory stores.
 	headerChunkCRC = "X-Atlas-Chunk-Crc"
 	// headerChunkLen carries the payload's byte length, so a truncated
 	// body is detected even when the transport hid the short read.
@@ -58,8 +58,6 @@ const (
 	// headerRequestID propagates the query request id, joining client
 	// errors with server log lines.
 	headerRequestID = "X-Atlas-Request-Id"
-	// headerCount carries the value count of a binary float stream.
-	headerCount = "X-Atlas-Count"
 	// headerDeadline carries the caller's remaining deadline budget in
 	// integer milliseconds; the server bounds the request's context by
 	// it, aborting statcompute/chunk work whose caller has already given
@@ -173,17 +171,16 @@ type dictDTO struct {
 	Values []string `json:"values"`
 }
 
-// catCountsDTO is GET /shard/v1/catcounts?attr=A (local dictionary
-// space; the coordinator remaps into union space).
+// catCountsDTO is one categorical attribute's batch statistics (local
+// dictionary space; the coordinator remaps into union space).
 type catCountsDTO struct {
-	Dict   []string `json:"dict"`
-	Counts []int    `json:"counts"`
+	Dict   []string
+	Counts []int
 }
 
-// boolCountsDTO is GET /shard/v1/boolcounts?attr=A.
+// boolCountsDTO is one boolean attribute's batch statistics.
 type boolCountsDTO struct {
-	Falses int `json:"falses"`
-	Trues  int `json:"trues"`
+	Falses, Trues int
 }
 
 // predDTO is the wire form of a query.Predicate (POST /shard/v1/predcount).
@@ -196,10 +193,6 @@ type predDTO struct {
 	HiIncl  bool     `json:"hiIncl,omitempty"`
 	Values  []string `json:"values,omitempty"`
 	BoolVal bool     `json:"boolVal,omitempty"`
-	// WantBits asks for the selection bitmap alongside the count. Old
-	// servers decode predcount bodies leniently and simply ignore it,
-	// answering count-only — the fallback the client handles.
-	WantBits bool `json:"wantBits,omitempty"`
 }
 
 func predToDTO(p query.Predicate) predDTO {
@@ -231,12 +224,11 @@ func predFromDTO(d predDTO) (query.Predicate, error) {
 	return p, nil
 }
 
-// countDTO is the predcount answer. Bits carries the selection bitmap
-// (base64 over little-endian u64 words, tail bits zero) when the
-// request asked for it; empty otherwise.
+// countDTO is the predcount answer: the selection's popcount and its
+// bitmap (base64 over little-endian u64 words, tail bits zero).
 type countDTO struct {
 	Count int    `json:"count"`
-	Bits  string `json:"bits,omitempty"`
+	Bits  string `json:"bits"`
 }
 
 // encodeWords packs a bitmap's u64 words as base64 (little-endian).
@@ -269,8 +261,8 @@ type batchReqDTO struct {
 
 // batchStatDTO is one attribute's statistics in a batchstats answer.
 // Numeric value streams live in the response's binary blob (Off/Count
-// locate them) so floats travel exactly as the values endpoint sends
-// them; categorical and boolean answers are small and inline.
+// locate them) so floats travel as exact IEEE-754 bits; categorical
+// and boolean answers are small and inline.
 type batchStatDTO struct {
 	Attr string `json:"attr"`
 	// Kind is "numeric", "cat" or "bool".

@@ -37,8 +37,7 @@ type fleetShard struct {
 	// Remote reports whether the shard is served over the fabric; local
 	// shards are never polled.
 	Remote bool
-	// Polled reports a successful stats RPC this round; false with a
-	// nil Err means the backend lacks the capability (an old server).
+	// Polled reports a successful stats RPC this round.
 	Polled bool
 	// Err is the open or RPC failure of an attempted poll.
 	Err error
@@ -103,9 +102,9 @@ func (f *fleetPoller) snapshot() []fleetShard {
 	_ = par.For(len(m.Shards), len(m.Shards), func(i int) error {
 		fs := fleetShard{Shard: i, Location: m.Shards[i].File, Remote: shard.IsRemoteLocation(m.Shards[i].File)}
 		if fs.Remote {
-			st, polled, err := f.set.ShardServerStats(ctx, i)
+			st, _, err := f.set.ShardServerStats(ctx, i)
 			fs.Err = err
-			fs.Polled = polled && err == nil
+			fs.Polled = err == nil
 			if fs.Polled {
 				fs.Stats = st
 			} else if prev != nil && i < len(prev) {
@@ -188,12 +187,10 @@ func (f *fleetPoller) register(r *obsv.Registry) {
 
 // FabricShardDTO is one shard server's rollup on /api/stats.
 type FabricShardDTO struct {
-	Shard    int    `json:"shard"`
-	Location string `json:"location"`
-	OK       bool   `json:"ok"`
-	Error    string `json:"error,omitempty"`
-	// Unsupported marks backends without the stats RPC.
-	Unsupported   bool    `json:"unsupported,omitempty"`
+	Shard         int     `json:"shard"`
+	Location      string  `json:"location"`
+	OK            bool    `json:"ok"`
+	Error         string  `json:"error,omitempty"`
 	Requests      int64   `json:"requests"`
 	BytesOut      int64   `json:"bytesOut"`
 	StatComputes  int64   `json:"statComputes"`
@@ -219,7 +216,6 @@ func (s *Server) fleetStats() []FabricShardDTO {
 			Shard:         fs.Shard,
 			Location:      fs.Location,
 			OK:            fs.Polled,
-			Unsupported:   !fs.Polled && fs.Err == nil,
 			Requests:      fs.Stats.Requests,
 			BytesOut:      fs.Stats.BytesOut,
 			StatComputes:  fs.Stats.StatComputes,

@@ -130,7 +130,7 @@ type StoreConfig struct {
 	// Store is passed to every file open (residency mode, cache budget).
 	Store colstore.Options
 	// Defer postpones opening shard files until first touch (sharded
-	// stores with a v2 manifest only).
+	// stores only).
 	Defer bool
 	// Remote opens http(s):// shard locations; nil uses a default
 	// internal/remote opener, so remote manifests serve out of the box.
@@ -877,12 +877,26 @@ type notFound struct{ error }
 
 func (n *notFound) Unwrap() error { return n.error }
 
+// maxRequestBody caps every JSON request body. Requests carry a CQL
+// string or a drill target — a few KB at most; 1 MiB leaves ample room
+// while keeping one request from buffering unbounded bytes.
+const maxRequestBody = 1 << 20
+
+// ErrBodyTooLarge is the named refusal of a request body over
+// maxRequestBody, answered with 413.
+var ErrBodyTooLarge = fmt.Errorf("server: request body exceeds %d bytes", maxRequestBody)
+
 func readJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 	defer r.Body.Close()
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		writeError(w, &badRequest{fmt.Errorf("invalid request body: %w", err)})
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			writeError(w, ErrBodyTooLarge)
+		} else {
+			writeError(w, &badRequest{fmt.Errorf("invalid request body: %w", err)})
+		}
 		return false
 	}
 	return true
@@ -911,6 +925,8 @@ func writeError(w http.ResponseWriter, err error) {
 		// The caller went away; 499 per the de-facto convention. Nothing
 		// is usually listening, but proxies and logs see the status.
 		status = 499
+	case errors.Is(err, ErrBodyTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.As(err, &br):
 		status = http.StatusBadRequest
 	case errors.As(err, &nf):

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -311,5 +312,33 @@ func TestDrillBeforeExplore(t *testing.T) {
 	resp, _ := postJSON(t, fmt.Sprintf("%s/api/sessions/%d/drill", ts.URL, id), map[string]int{"map": 0, "region": 0})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d", resp.StatusCode)
+	}
+}
+
+// TestRequestBodyTooLarge: a request body over maxRequestBody is
+// refused with 413 and the named error before any of it is parsed as
+// a query; a body just under the cap is read in full (and rejected
+// only for its content).
+func TestRequestBodyTooLarge(t *testing.T) {
+	ts := newTestServer(t)
+	post := func(cqlLen int) (int, string) {
+		t.Helper()
+		body := `{"cql": "` + strings.Repeat("x", cqlLen) + `"}`
+		resp, err := http.Post(ts.URL+"/api/explore", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]string
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out["error"]
+	}
+	if code, msg := post(maxRequestBody); code != http.StatusRequestEntityTooLarge || msg != ErrBodyTooLarge.Error() {
+		t.Errorf("oversized body: %d %q, want 413 %q", code, msg, ErrBodyTooLarge)
+	}
+	if code, msg := post(maxRequestBody - 64); code != http.StatusBadRequest || strings.Contains(msg, "exceeds") {
+		t.Errorf("body under the cap: %d %q, want a 400 about the CQL", code, msg)
 	}
 }

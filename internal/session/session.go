@@ -47,7 +47,7 @@ type ShardLayout interface {
 }
 
 // ShardPruner is the optional shard-file pruning interface of a layout
-// (implemented by shard.Set from manifest v2 statistics): a false
+// (implemented by shard.Set from the manifest statistics): a false
 // answer proves predicate p matches no row of shard i, letting the
 // session skip the shard's predicate scan entirely — on memory-tiered
 // sets, without even opening the shard's file.
@@ -55,25 +55,13 @@ type ShardPruner interface {
 	ShardMayMatch(shard int, p query.Predicate) bool
 }
 
-// ShardPredCounter is the optional statistics-plane probe of a layout
+// ShardPredBitmapper is the optional statistics-plane probe of a layout
 // (implemented by shard.Set for shards served over the remote fabric):
-// with ok=true it answers how many rows of shard i satisfy p, computed
-// where the shard lives. The session consults it on predicate-bitmap
-// cache misses of remote shards — a zero count yields the empty bitmap
-// with no chunk payload ever crossing the wire, the per-predicate
-// bitmap-count half of the fabric's statistics plane.
-type ShardPredCounter interface {
-	RemotePredicateCount(ctx context.Context, shard int, p query.Predicate) (count int, ok bool, err error)
-}
-
-// ShardPredBitmapper is the bitmap extension of ShardPredCounter
-// (implemented by shard.Set against servers that answer predcount with
-// wantBits): with ok=true the returned bitmap IS shard i's selection
-// under p, computed where the shard lives and validated against the
-// server's own count. The session prefers it on cache misses — then
-// even non-empty predicates assemble without any chunk crossing the
-// wire. ok=false (old servers, local shards) falls back to the counter
-// and the scan.
+// with ok=true the returned bitmap IS shard i's selection under p,
+// computed where the shard lives and validated against the server's
+// own count. The session consults it on predicate-bitmap cache misses —
+// then predicates assemble without any chunk crossing the wire.
+// ok=false (local shards) falls back to the scan.
 type ShardPredBitmapper interface {
 	RemotePredicateBits(ctx context.Context, shard int, p query.Predicate) (bm *bitvec.Vector, ok bool, err error)
 }
@@ -173,7 +161,6 @@ func (s *Session) explore(ctx context.Context, q query.Query) (*core.Result, err
 func (s *Session) shardedBase(ctx context.Context, q query.Query, sopts engine.ScanOptions) (*bitvec.Vector, error) {
 	n := s.shards.NumShards()
 	pruner, _ := s.shards.(ShardPruner)
-	counter, _ := s.shards.(ShardPredCounter)
 	bitmapper, _ := s.shards.(ShardPredBitmapper)
 	// Divide the worker budget: shards are the outer parallel axis; any
 	// leftover workers shard each predicate scan chunk-wise.
@@ -206,7 +193,7 @@ func (s *Session) shardedBase(ctx context.Context, q query.Query, sopts engine.S
 				sel.Zero()
 				break
 			}
-			bm, err := s.preds.getOrComputeShard(view, p, i, sopts, s.shardPredCompute(sctx, bitmapper, counter, view, p, i, sopts))
+			bm, err := s.preds.getOrComputeShard(view, p, i, sopts, s.shardPredCompute(sctx, bitmapper, view, p, i, sopts))
 			if err != nil {
 				return err
 			}
@@ -231,26 +218,20 @@ func (s *Session) shardedBase(ctx context.Context, q query.Query, sopts engine.S
 // shardPredCompute builds the cache-miss evaluator of one (predicate,
 // shard) bitmap. Layouts with a statistics plane (remote shards) are
 // asked for the predicate's bitmap first — the whole selection crosses
-// as packed words on the stats plane, so even non-empty predicates
-// pull no chunk. Layouts with only a counter still get the empty fast
-// path (a zero count proves the empty bitmap). A probe failure or an
-// unsupporting server falls through to the ordinary scan (whose own
-// error names the shard if it is really down). Local layouts get a nil
-// compute, so the cache scans directly.
-func (s *Session) shardPredCompute(ctx context.Context, bitmapper ShardPredBitmapper, counter ShardPredCounter, view *storage.Table, p query.Predicate, i int, opts engine.ScanOptions) func() (*bitvec.Vector, error) {
-	if bitmapper == nil && counter == nil {
+// as packed words on the stats plane, so no chunk is pulled. A probe
+// failure or a local shard falls through to the ordinary scan (whose
+// own error names the shard if it is really down). Layouts without the
+// probe get a nil compute, so the cache scans directly.
+func (s *Session) shardPredCompute(ctx context.Context, bitmapper ShardPredBitmapper, view *storage.Table, p query.Predicate, i int, opts engine.ScanOptions) func() (*bitvec.Vector, error) {
+	if bitmapper == nil {
 		return nil
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	return func() (*bitvec.Vector, error) {
-		if bitmapper != nil {
-			if bm, ok, err := bitmapper.RemotePredicateBits(ctx, i, p); err == nil && ok {
-				return bm, nil
-			}
-		} else if n, ok, err := counter.RemotePredicateCount(ctx, i, p); err == nil && ok && n == 0 {
-			return bitvec.New(view.NumRows()), nil
+		if bm, ok, err := bitmapper.RemotePredicateBits(ctx, i, p); err == nil && ok {
+			return bm, nil
 		}
 		return engine.EvalPredicateOpts(view, p, opts)
 	}

@@ -41,12 +41,18 @@ type Backend interface {
 	// Zones returns the shard's per-column, per-chunk zone maps in the
 	// shard's own (local-dictionary) code space.
 	Zones() [][]storage.ZoneMap
-	// Dicts returns the dictionary of string column ci (nil for
-	// non-string columns). May fetch on first use.
-	Dicts(ci int) ([]string, error)
+	// DictsCtx returns the dictionary of string column ci (nil for
+	// non-string columns). Remote backends fetch it on first use, with
+	// ctx riding into the fetch: a dictionary pulled mid-query is traced
+	// and billed to the query that forced it.
+	DictsCtx(ctx context.Context, ci int) ([]string, error)
 	// Source serves the shard's decoded chunk payloads (local code
 	// space; the Set remaps into union space where needed).
 	Source() storage.ChunkSource
+	// IOStats reports the backend's I/O counters: file reads and chunk
+	// decodes for local files, bytes over the wire and chunk fetches for
+	// remote shards.
+	IOStats() colstore.IOStats
 	// Close releases the backend's resources.
 	Close() error
 }
@@ -57,12 +63,6 @@ type Backend interface {
 type TableBackend interface {
 	Backend
 	Table() *storage.Table
-}
-
-// IOBackend is the optional I/O-counter surface of a backend; remote
-// backends report bytes over the wire and chunk fetches here.
-type IOBackend interface {
-	IOStats() colstore.IOStats
 }
 
 // PartialSpec names one column's partial-statistics request: the
@@ -77,17 +77,20 @@ type PartialSpec struct {
 	UseHist bool
 }
 
-// StatBackend is the statistics plane of a backend: per-shard
-// statistics computed where the shard's data lives, so a sharded
-// exploration fans out as small requests instead of pulling chunks.
-// Answers are in the shard's local dictionary space — the Set remaps
-// them into union space during the reduce — and must be exactly what
-// the equivalent local scan would produce (values in row order, exact
-// counts), which is what keeps remote explorations byte-identical.
-// Every method takes the request context first, so a traced exploration
-// can attribute each fan-out RPC to the pipeline phase that issued it;
-// untraced callers pass context.Background().
-type StatBackend interface {
+// RemoteBackend is a backend served by a remote shard server
+// (internal/remote's client). Beyond the data it answers the statistics
+// plane — per-shard statistics computed where the shard's data lives,
+// so a sharded exploration fans out as small requests instead of
+// pulling chunks — and reports liveness, replica breaker state and the
+// server's own counters. Statistics answers are in the shard's local
+// dictionary space — the Set remaps them into union space during the
+// reduce — and must be exactly what the equivalent local scan would
+// produce (values in row order, exact counts), which is what keeps
+// remote explorations byte-identical. Methods taking a context bill
+// their RPCs to it, so a traced exploration attributes each fan-out RPC
+// to the pipeline phase that issued it.
+type RemoteBackend interface {
+	Backend
 	// NumericValues returns attr's non-NULL values in row order under
 	// the full selection.
 	NumericValues(ctx context.Context, attr string) ([]float64, error)
@@ -99,24 +102,17 @@ type StatBackend interface {
 	// ColumnPartials computes one mergeable partial per spec, in one
 	// round trip.
 	ColumnPartials(ctx context.Context, specs []PartialSpec) ([]*ColumnPartial, error)
-	// PredicateCount returns how many shard rows satisfy p — the
-	// per-predicate bitmap count of the statistics plane.
-	PredicateCount(ctx context.Context, p query.Predicate) (int, error)
-}
-
-// PredBitsBackend is the optional bitmap extension of the statistics
-// plane: a backend that can return the exact selection bitmap of a
-// predicate alongside its count, so session base assembly skips the
-// chunk plane even for non-empty predicates. words is nil when the
-// backend (an old server, say) answered count-only.
-type PredBitsBackend interface {
+	// PredicateBits returns the exact selection bitmap of p over the
+	// shard's rows (words, tail bits zero) with its popcount, so session
+	// base assembly skips the chunk plane.
 	PredicateBits(ctx context.Context, p query.Predicate) (count int, words []uint64, err error)
-}
-
-// HealthBackend is the optional liveness probe of a backend.
-type HealthBackend interface {
 	// Health round-trips a liveness check, returning its latency.
 	Health() (time.Duration, error)
+	// Replicas reports per-replica breaker state for health reporting.
+	Replicas() []ReplicaHealth
+	// ServerStats fetches the shard server's own counters in one RPC, so
+	// a coordinator scrape can aggregate the whole fleet.
+	ServerStats(ctx context.Context) (ServerStats, error)
 }
 
 // ReplicaHealth is one replica's view from a backend's circuit
@@ -140,12 +136,6 @@ type ReplicaHealth struct {
 	Attempts int64
 	// Failures is the cumulative number of those that failed.
 	Failures int64
-}
-
-// ReplicaBackend is the optional replica-set surface of a backend:
-// per-replica breaker state for health reporting.
-type ReplicaBackend interface {
-	Replicas() []ReplicaHealth
 }
 
 // ServerStats is one remote shard server's own counter snapshot — what
@@ -183,39 +173,17 @@ func (s ServerStats) CacheHitRate() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// ServerStatsBackend is the optional counter-rollup surface of a
-// remote backend: one RPC fetching the shard server's own counters, so
-// a coordinator scrape can aggregate the whole fleet.
-type ServerStatsBackend interface {
-	ServerStats(ctx context.Context) (ServerStats, error)
-}
-
 // RemoteOpener opens backends for http(s):// shard locations. The
 // locations are one shard's dial order — primary first, then replicas
 // serving the same immutable shard — and the backend fails over among
 // them. The store options carry the set's shared decoded-chunk cache,
-// so remote payloads honor the same byte budget as local ones.
-// Implemented by internal/remote.Opener; shard itself stays
+// so remote payloads honor the same byte budget as local ones. The
+// open's own round trips (metadata, zone maps) run under ctx, so a
+// deferred open forced by a query lands in its trace and resource
+// ledger. Implemented by internal/remote.Opener; shard itself stays
 // transport-free.
 type RemoteOpener interface {
-	OpenShard(locations []string, store colstore.Options) (Backend, error)
-}
-
-// CtxRemoteOpener is the optional context-aware extension of
-// RemoteOpener: when a query forces a deferred shard open, the open's
-// own round trips (metadata, zone maps) run under that query's context,
-// so they land in its trace and resource ledger. Openers without it
-// fall back to OpenShard.
-type CtxRemoteOpener interface {
-	OpenShardCtx(ctx context.Context, locations []string, store colstore.Options) (Backend, error)
-}
-
-// CtxDictBackend is the optional context-aware dictionary fetch of a
-// backend: deferred sets load dictionaries on first categorical
-// demand, and a dictionary pulled mid-query is then traced and billed
-// to the query that forced it. Backends without it fall back to Dicts.
-type CtxDictBackend interface {
-	DictsCtx(ctx context.Context, ci int) ([]string, error)
+	OpenShardCtx(ctx context.Context, locations []string, store colstore.Options) (RemoteBackend, error)
 }
 
 // IsRemoteLocation reports whether a manifest shard location names a
@@ -261,8 +229,9 @@ func (fb *fileBackend) Zones() [][]storage.ZoneMap {
 	return fb.st.Table().Chunking().Zones
 }
 
-// Dicts implements Backend.
-func (fb *fileBackend) Dicts(ci int) ([]string, error) {
+// DictsCtx implements Backend; a local file's dictionaries are read
+// at open, so ctx is unused.
+func (fb *fileBackend) DictsCtx(_ context.Context, ci int) ([]string, error) {
 	t := fb.st.Table()
 	if t.Schema().Field(ci).Type != storage.String {
 		return nil, nil
@@ -283,7 +252,7 @@ func (fb *fileBackend) Source() storage.ChunkSource { return fb.src }
 // Table implements TableBackend.
 func (fb *fileBackend) Table() *storage.Table { return fb.st.Table() }
 
-// IOStats implements IOBackend.
+// IOStats implements Backend.
 func (fb *fileBackend) IOStats() colstore.IOStats { return fb.st.IOStats() }
 
 // Close implements Backend.

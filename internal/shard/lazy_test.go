@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,15 +33,6 @@ func eventsTable(t testing.TB, n int) *storage.Table {
 	return b.MustBuild()
 }
 
-// stripResultTimes renders a result without its timing for comparison.
-func formatStable(r *core.Result) string {
-	out := fmt.Sprintf("%s base=%d/%d", r.Input.String(), r.BaseCount, r.TotalRows)
-	for _, m := range r.Maps {
-		out += "\n" + m.String()
-	}
-	return out
-}
-
 // TestLazyShardedExploreMatchesEager: the lazy-view assembly (open
 // modes eager and lazy, deferred and not) must explore byte-identically
 // to the materializing reassembly.
@@ -63,7 +55,7 @@ func TestLazyShardedExploreMatchesEager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return formatStable(res)
+		return res.Canonical()
 	}
 	q := query.New("census", query.NewRange("age", 20, 70))
 	baseline, err := OpenWith(path, Options{Store: colstore.Options{Mode: colstore.ModeEager}})
@@ -191,8 +183,8 @@ func TestDeferredShardFilePruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if formatStable(res) != formatStable(want) {
-		t.Errorf("deferred result differs:\n got: %s\nwant: %s", formatStable(res), formatStable(want))
+	if res.Canonical() != want.Canonical() {
+		t.Errorf("deferred result differs:\n got: %s\nwant: %s", res.Canonical(), want.Canonical())
 	}
 }
 
@@ -255,16 +247,16 @@ func TestManifestV2Stats(t *testing.T) {
 	}
 }
 
-// TestManifestV1Compat: a version-1 manifest (no schema, no stats)
-// still opens, explores correctly, and simply never prunes or defers.
-func TestManifestV1Compat(t *testing.T) {
+// TestManifestOldVersionRejected: a manifest written at version 1 or
+// 2 — produced here from a v3 one by patching the version field — fails
+// ReadManifest and every open mode with the named re-ingest error.
+func TestManifestOldVersionRejected(t *testing.T) {
 	tbl := datagen.Census(3_000, 5)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "census.atlm")
 	if _, err := WriteSharded(path, tbl, IngestOptions{Shards: 2, ChunkSize: 256}); err != nil {
 		t.Fatal(err)
 	}
-	// Downgrade the manifest to v1 by stripping the v2 fields.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -273,46 +265,26 @@ func TestManifestV1Compat(t *testing.T) {
 	if err := json.Unmarshal(raw, &mm); err != nil {
 		t.Fatal(err)
 	}
-	mm["version"] = 1
-	delete(mm, "columns")
-	shards := mm["shards"].([]any)
-	for _, sh := range shards {
-		delete(sh.(map[string]any), "stats")
-	}
-	v1, err := json.Marshal(mm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenWith(path, Options{Defer: true}) // Defer must degrade gracefully
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Manifest().Version != 1 {
-		t.Fatalf("manifest version %d, want 1", s.Manifest().Version)
-	}
-	opts := core.DefaultOptions()
-	cart, err := core.NewCartographerWith(s.Table(), opts, s.Provider(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cart.Explore(query.New("census", query.NewRange("age", 30, 60)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := core.NewCartographer(tbl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.Explore(query.New("census", query.NewRange("age", 30, 60)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if formatStable(res) != formatStable(want) {
-		t.Errorf("v1 manifest explore differs:\n got: %s\nwant: %s", formatStable(res), formatStable(want))
+	for _, v := range []int{1, 2} {
+		mm["version"] = v
+		old, err := json.Marshal(mm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadManifest(path); !errors.Is(err, ErrOldManifest) {
+			t.Errorf("v%d ReadManifest: err = %v, want ErrOldManifest", v, err)
+		}
+		for _, o := range []Options{{}, {Defer: true}} {
+			if s, err := OpenWith(path, o); !errors.Is(err, ErrOldManifest) {
+				if s != nil {
+					s.Close()
+				}
+				t.Errorf("v%d open %+v: err = %v, want ErrOldManifest", v, o, err)
+			}
+		}
 	}
 }
 

@@ -25,18 +25,18 @@
 //	  "key": "cid",                 // hash partitioning key (hash only)
 //	  "chunk_size": 65536,          // rows per chunk in every shard
 //	  "rows": 1000000,              // total rows across shards
-//	  "columns": [                  // v2: the shared schema
+//	  "columns": [                  // the shared schema
 //	    {"name": "age", "type": "int64"},
 //	    {"name": "education", "type": "string"}
 //	  ],
 //	  "shards": [
 //	    {"file": "census.00000.atl", "rows": 131072,
-//	     "stats": [                 // v2: one entry per column
+//	     "stats": [                 // one entry per column
 //	       {"min": 17, "max": 90, "has_min_max": true, "nulls": 12},
 //	       {"nulls": 0, "cat_bits": "AAEC...iA=="}
 //	     ]},
 //	    {"file": "http://10.0.0.7:8093", "rows": 131072,
-//	     "replicas": ["http://10.0.0.8:8093"],   // v3: failover peers
+//	     "replicas": ["http://10.0.0.8:8093"],   // failover peers
 //	     "stats": [...]}
 //	  ]
 //	}
@@ -49,29 +49,32 @@
 // a key column, which keeps all rows of one key in one shard (the layout
 // FK-join and per-key workloads want) at the cost of reordering rows.
 //
-// The v2 per-shard column statistics are the shard-file pruning index:
+// The per-shard column statistics are the shard-file pruning index:
 // numeric min/max in the engine's float comparison space, NULL counts,
 // and — for categorical columns — a 256-bit hash bitset of the values
 // present in the shard (bit fnv1a(value) mod 256). A selective
 // exploration consults them to skip whole shard files before opening
 // them; together with the schema they also let a deferred open build a
 // working (coarser) zone map layer without touching any shard file.
-// Version 1 manifests (no schema, no stats) still open — they just
-// cannot prune or defer.
+// Both are mandatory.
 //
-// Version 3 adds per-shard replica locations: a remote shard entry may
-// list additional http(s):// URLs in "replicas", each serving the same
-// immutable shard file. The remote client rotates to a replica when the
-// primary trips its health-driven circuit breaker, so a single peer
-// dying mid-exploration degrades to a failover instead of an error.
-// Replicas are only meaningful on remote shards; v1/v2 manifests (no
-// replicas) still open unchanged.
+// A remote shard entry may list additional http(s):// URLs in
+// "replicas", each serving the same immutable shard file. The remote
+// client rotates to a replica when the primary trips its health-driven
+// circuit breaker, so a single peer dying mid-exploration degrades to a
+// failover instead of an error. Replicas are only meaningful on remote
+// shards.
+//
+// Only version 3 is read. Older manifests (v1 had no schema or
+// statistics, v2 no replicas) fail with ErrOldManifest: re-ingest the
+// source data.
 package shard
 
 import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -94,10 +97,14 @@ const (
 	PartitionHash Partitioning = "hash"
 )
 
-// ManifestVersion is the current manifest format version. Version 2
-// added the schema and per-shard column statistics; version 3 added
-// per-shard replica locations. Version 1 and 2 manifests still open.
+// ManifestVersion is the manifest format version, the only one written
+// or read. Version 2 added the schema and per-shard column statistics;
+// version 3 added per-shard replica locations.
 const ManifestVersion = 3
+
+// ErrOldManifest reports a manifest written in a format version older
+// than ManifestVersion. Re-ingest the source data to upgrade it.
+var ErrOldManifest = errors.New("shard: manifest version predates v3; re-ingest the source data")
 
 // CatBitsSize is the byte size of a categorical hash bitset (256 bits).
 const CatBitsSize = 32
@@ -130,11 +137,10 @@ type ShardFile struct {
 	File string `json:"file"`
 	// Rows is the shard's row count, checked against the opened file.
 	Rows int `json:"rows"`
-	// Stats holds one ColumnStats per schema column (v2; nil in v1
-	// manifests, which disables shard-file pruning).
-	Stats []ColumnStats `json:"stats,omitempty"`
+	// Stats holds one ColumnStats per schema column.
+	Stats []ColumnStats `json:"stats"`
 	// Replicas lists additional http(s):// locations serving the same
-	// shard (v3). Only valid when File is itself a remote location; the
+	// shard. Only valid when File is itself a remote location; the
 	// remote client fails over to them when File's server misbehaves.
 	Replicas []string `json:"replicas,omitempty"`
 }
@@ -158,17 +164,13 @@ type Manifest struct {
 	Key       string `json:"key,omitempty"`
 	ChunkSize int    `json:"chunk_size"`
 	Rows      int    `json:"rows"`
-	// Columns is the shared schema (v2; nil in v1 manifests).
-	Columns []ColumnSchema `json:"columns,omitempty"`
+	// Columns is the shared schema.
+	Columns []ColumnSchema `json:"columns"`
 	Shards  []ShardFile    `json:"shards"`
 }
 
-// Schema reconstructs the storage schema the manifest declares, or nil
-// for v1 manifests without one.
+// Schema reconstructs the storage schema the manifest declares.
 func (m *Manifest) Schema() (*storage.Schema, error) {
-	if len(m.Columns) == 0 {
-		return nil, nil
-	}
 	fields := make([]storage.Field, len(m.Columns))
 	for i, c := range m.Columns {
 		typ, err := parseColumnType(c.Type)
@@ -229,16 +231,20 @@ func catBitsDecode(s string) []byte {
 }
 
 func (m *Manifest) validate() error {
-	if m.Version < 1 || m.Version > ManifestVersion {
-		return fmt.Errorf("shard: unsupported manifest version %d (this reader handles 1..%d)", m.Version, ManifestVersion)
+	switch {
+	case m.Version >= 1 && m.Version < ManifestVersion:
+		return fmt.Errorf("%w (manifest is version %d)", ErrOldManifest, m.Version)
+	case m.Version != ManifestVersion:
+		return fmt.Errorf("shard: unsupported manifest version %d (this reader handles %d)", m.Version, ManifestVersion)
 	}
-	if len(m.Columns) > 0 {
-		if _, err := m.Schema(); err != nil {
-			return err
-		}
+	if len(m.Columns) == 0 {
+		return fmt.Errorf("shard: manifest declares no columns")
+	}
+	if _, err := m.Schema(); err != nil {
+		return err
 	}
 	for i, sf := range m.Shards {
-		if len(sf.Stats) != 0 && len(sf.Stats) != len(m.Columns) {
+		if len(sf.Stats) != len(m.Columns) {
 			return fmt.Errorf("shard: shard %d has %d column stats for %d columns", i, len(sf.Stats), len(m.Columns))
 		}
 	}
@@ -272,9 +278,6 @@ func (m *Manifest) validate() error {
 			return fmt.Errorf("shard: shard %d has negative row count %d", i, sf.Rows)
 		}
 		if len(sf.Replicas) > 0 {
-			if m.Version < 3 {
-				return fmt.Errorf("shard: shard %d lists replicas but manifest version %d predates them (need 3)", i, m.Version)
-			}
 			if !IsRemoteLocation(sf.File) {
 				return fmt.Errorf("shard: shard %d lists replicas for local file %q (replicas need a remote primary)", i, sf.File)
 			}
@@ -293,12 +296,12 @@ func (m *Manifest) validate() error {
 }
 
 // ShardMayMatch reports whether predicate p could select any row of
-// shard i, judged from the manifest's v2 per-shard statistics alone —
-// the shard-file pruning test that runs before any shard file is
-// opened. It is conservative: absent statistics, unknown columns and
-// untracked predicate shapes report true.
+// shard i, judged from the manifest's per-shard statistics alone — the
+// shard-file pruning test that runs before any shard file is opened. It
+// is conservative: unknown columns and untracked predicate shapes
+// report true.
 func (m *Manifest) ShardMayMatch(i int, p query.Predicate) bool {
-	if i < 0 || i >= len(m.Shards) || len(m.Columns) == 0 {
+	if i < 0 || i >= len(m.Shards) {
 		return true
 	}
 	ci := -1
@@ -309,7 +312,7 @@ func (m *Manifest) ShardMayMatch(i int, p query.Predicate) bool {
 		}
 	}
 	sf := m.Shards[i]
-	if ci < 0 || ci >= len(sf.Stats) {
+	if ci < 0 {
 		return true
 	}
 	st := sf.Stats[ci]
@@ -352,14 +355,23 @@ func ReadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := parseManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %s: %w", path, err)
+	}
+	return m, nil
+}
+
+// parseManifest decodes and validates manifest bytes.
+func parseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("shard: %s: %w", path, err)
+		return nil, err
 	}
 	if err := m.validate(); err != nil {
-		return nil, fmt.Errorf("shard: %s: %w", path, err)
+		return nil, err
 	}
 	return &m, nil
 }

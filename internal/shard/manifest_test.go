@@ -1,20 +1,26 @@
 package shard
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // remoteTestManifest builds a minimal valid remote manifest with the
-// given shard locations (primary + replicas).
+// given shard locations (primary + replicas): one int64 column, and the
+// mandatory per-shard statistics filled in.
 func remoteTestManifest(shards []ShardFile, rows int) *Manifest {
+	for i := range shards {
+		shards[i].Stats = []ColumnStats{{}}
+	}
 	return &Manifest{
 		Version:      ManifestVersion,
 		Table:        "t",
 		Partitioning: PartitionRange,
 		ChunkSize:    64,
 		Rows:         rows,
+		Columns:      []ColumnSchema{{Name: "x", Type: "int64"}},
 		Shards:       shards,
 	}
 }
@@ -52,8 +58,9 @@ func TestManifestV3ReplicaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestReplicaValidation: replicas demand a v3 manifest and a
-// remote primary, and must themselves be http(s):// locations.
+// TestManifestReplicaValidation: replicas demand a remote primary and
+// must themselves be http(s):// locations; a pre-v3 manifest is refused
+// by version before its replicas are looked at.
 func TestManifestReplicaValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.atlm")
 
@@ -79,10 +86,8 @@ func TestManifestReplicaValidation(t *testing.T) {
 		{File: "http://a:8093", Rows: 64, Replicas: []string{"http://b:8093"}},
 	}, 64)
 	old.Version = 2
-	if err := WriteManifestFile(path, old); err == nil {
-		t.Error("v2 manifest with replicas validated")
-	} else if !strings.Contains(err.Error(), "version") {
-		t.Errorf("error %q does not name the version rule", err)
+	if err := WriteManifestFile(path, old); !errors.Is(err, ErrOldManifest) {
+		t.Errorf("v2 manifest with replicas: err = %v, want ErrOldManifest", err)
 	}
 }
 

@@ -39,9 +39,9 @@ import (
 // each chunk fetch to its shard file through one shared decoded-chunk
 // cache, so open touches no values and holds no concatenated copy (the
 // old transient 2× peak is gone). With Options.Defer the shard files
-// themselves open on first touch, and the manifest's v2 statistics
-// stand in for zone maps until then — a selective exploration skips
-// whole shard files without ever opening them.
+// themselves open on first touch, and the manifest's per-shard
+// statistics stand in for zone maps until then — a selective
+// exploration skips whole shard files without ever opening them.
 type Set struct {
 	manifest *Manifest
 	combined *storage.Table
@@ -79,14 +79,13 @@ type Options struct {
 	// bounds the whole set's decoded bytes, not each file's.
 	Store colstore.Options
 	// Defer postpones opening shard files until a chunk, dictionary or
-	// statistic of that shard is first touched. Requires a v2 manifest
-	// with complete per-shard stats; others open non-deferred. The
-	// engine then prunes on manifest-level statistics (file min/max
-	// spread to every chunk) until a shard actually opens. Note that
-	// the union dictionary of a string column spans every shard, so the
-	// first categorical predicate compile or category statistic opens
-	// all files (cheaply: metadata only) — whole-file skipping is at
-	// its best on numeric workloads.
+	// statistic of that shard is first touched. The engine then prunes
+	// on manifest-level statistics (file min/max spread to every chunk)
+	// until a shard actually opens. Note that the union dictionary of a
+	// string column spans every shard, so the first categorical
+	// predicate compile or category statistic opens all files (cheaply:
+	// metadata only) — whole-file skipping is at its best on numeric
+	// workloads.
 	Defer bool
 	// Remote opens backends for manifests whose shard locations are
 	// http(s):// URLs (see internal/remote). Opening such a manifest
@@ -167,17 +166,7 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 		s.shards[i] = &lazyShard{s: s, idx: i, locs: locs}
 	}
 
-	// Deferring needs the full v2 statistics: without a shard's stats
-	// there is no NULL count to seed the lazy columns with (IsNull would
-	// silently report false) and nothing to prune on — open such sets
-	// non-deferred instead.
-	deferred := o.Defer && len(m.Columns) > 0
-	for _, sf := range m.Shards {
-		if len(sf.Stats) != len(m.Columns) {
-			deferred = false
-			break
-		}
-	}
+	deferred := o.Defer
 	var schema *storage.Schema
 	var viewZones [][][]storage.ZoneMap // [shard][col][chunk]
 	if deferred {
@@ -190,7 +179,7 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 		// Open every shard now (cheap for lazy files and remote backends:
 		// metadata only), concurrently, and use their exact zone maps.
 		err = par.For(runtime.GOMAXPROCS(0), n, func(i int) error {
-			_, err := s.shards[i].backend()
+			_, err := s.shards[i].backendCtx(context.Background())
 			return err
 		})
 		if err != nil {
@@ -275,19 +264,14 @@ type lazyShard struct {
 
 	mu  sync.Mutex
 	be  Backend
+	rb  RemoteBackend // be, for remote shards; nil for local files
 	src storage.ChunkSource
 	err error
 }
 
-// backend opens the shard's backend if needed, validating it against
-// the manifest, and returns it.
-func (ls *lazyShard) backend() (Backend, error) {
-	return ls.backendCtx(context.Background())
-}
-
-// backendCtx is backend with the caller's context riding into a
-// deferred remote open, so the open's own RPCs are billed to the query
-// that forced it.
+// backendCtx opens the shard's backend if needed, validating it against
+// the manifest, and returns it. ctx rides into a deferred remote open,
+// so the open's own RPCs are billed to the query that forced it.
 func (ls *lazyShard) backendCtx(ctx context.Context) (Backend, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
@@ -306,16 +290,14 @@ func (ls *lazyShard) backendCtx(ctx context.Context) (Backend, error) {
 		return nil, err
 	}
 	var be Backend
+	var rb RemoteBackend
 	var err error
 	if remote {
 		if ls.s.remote == nil {
 			return fail(fmt.Errorf("shard: shard %d is remote (%s) but no remote opener is configured", ls.idx, ls.locs[0]))
 		}
-		if co, ok := ls.s.remote.(CtxRemoteOpener); ok {
-			be, err = co.OpenShardCtx(ctx, ls.locs, ls.s.storeOpts)
-		} else {
-			be, err = ls.s.remote.OpenShard(ls.locs, ls.s.storeOpts)
-		}
+		rb, err = ls.s.remote.OpenShardCtx(ctx, ls.locs, ls.s.storeOpts)
+		be = rb
 	} else {
 		be, err = openFileBackend(ls.locs[0], ls.s.storeOpts)
 	}
@@ -334,14 +316,9 @@ func (ls *lazyShard) backendCtx(ctx context.Context) (Backend, error) {
 		return fail(fmt.Errorf("shard: shard %d (%s) schema disagrees with the manifest",
 			ls.idx, ls.s.manifest.Shards[ls.idx].File))
 	}
-	ls.be = be
+	ls.be, ls.rb = be, rb
 	ls.src = be.Source()
 	return ls.be, nil
-}
-
-// source opens the shard backend if needed and returns its chunk source.
-func (ls *lazyShard) source() (storage.ChunkSource, error) {
-	return ls.sourceCtx(context.Background())
 }
 
 // sourceCtx is source with the caller's context riding into a deferred
@@ -372,8 +349,14 @@ func (ls *lazyShard) opened() bool {
 
 // setSource routes combined-table chunk fetches to the owning shard,
 // remapping string codes into the union dictionary when shard
-// dictionaries differ. It implements storage.ChunkSource.
+// dictionaries differ. It implements storage.ChunkSource and
+// storage.ChunkPrefetcher.
 type setSource struct{ s *Set }
+
+var (
+	_ storage.ChunkPrefetcher = (*setSource)(nil)
+	_ storage.ChunkPrefetcher = (*viewSource)(nil)
+)
 
 // shardOfChunk maps a combined chunk index to its shard.
 func (s *Set) shardOfChunk(gk int) int {
@@ -384,19 +367,10 @@ func (s *Set) shardOfChunk(gk int) int {
 	return i
 }
 
-// FetchChunk implements storage.ChunkSource.
-func (ss *setSource) FetchChunk(ci, gk int) (*storage.ChunkPayload, bool, error) {
-	return ss.fetch(context.Background(), ci, gk)
-}
-
-// FetchChunkCtx implements storage.CtxChunkSource: same routing, with
-// the request context riding into remote chunk fetches so their RPC
-// spans land in the right trace.
+// FetchChunkCtx implements storage.ChunkSource, with the request
+// context riding into the owning shard's fetch so its I/O lands in the
+// right trace and ledger.
 func (ss *setSource) FetchChunkCtx(ctx context.Context, ci, gk int) (*storage.ChunkPayload, bool, error) {
-	return ss.fetch(ctx, ci, gk)
-}
-
-func (ss *setSource) fetch(ctx context.Context, ci, gk int) (*storage.ChunkPayload, bool, error) {
 	s := ss.s
 	i := s.shardOfChunk(gk)
 	lk := gk - s.chunkOffs[i]
@@ -409,7 +383,7 @@ func (ss *setSource) fetch(ctx context.Context, ci, gk int) (*storage.ChunkPaylo
 		if err != nil {
 			return nil, false, err
 		}
-		return fetchChunkCtx(ctx, src, ci, lk)
+		return src.FetchChunkCtx(ctx, ci, lk)
 	}
 	// Distinct shard dictionaries: the remapped payload is its own cache
 	// entry (keyed by the set source) so the copy happens once per
@@ -419,7 +393,7 @@ func (ss *setSource) fetch(ctx context.Context, ci, gk int) (*storage.ChunkPaylo
 		if err != nil {
 			return nil, err
 		}
-		p, _, err := fetchChunkCtx(ctx, src, ci, lk)
+		p, _, err := src.FetchChunkCtx(ctx, ci, lk)
 		if err != nil {
 			return nil, err
 		}
@@ -431,22 +405,13 @@ func (ss *setSource) fetch(ctx context.Context, ci, gk int) (*storage.ChunkPaylo
 	})
 }
 
-// fetchChunkCtx forwards the context when the underlying source (a
-// remote client) understands it, and drops it otherwise.
-func fetchChunkCtx(ctx context.Context, src storage.ChunkSource, ci, k int) (*storage.ChunkPayload, bool, error) {
-	if cs, ok := src.(storage.CtxChunkSource); ok && ctx != nil {
-		return cs.FetchChunkCtx(ctx, ci, k)
-	}
-	return src.FetchChunk(ci, k)
-}
-
-// PrefetchChunk implements storage.ChunkPrefetcher: hints are routed to
-// the owning shard's source only when that shard is already open (a
+// PrefetchChunkCtx implements storage.ChunkPrefetcher: hints are routed
+// to the owning shard's source only when that shard is already open (a
 // speculative load must never open a deferred file) and only for
 // identity-dictionary columns (remapped payloads are cache entries of
 // the set itself; speculating those buys little and complicates
-// ownership).
-func (ss *setSource) PrefetchChunk(ci, gk int) {
+// ownership). ctx rides along, so the load bills the query's ledger.
+func (ss *setSource) PrefetchChunkCtx(ctx context.Context, ci, gk int) {
 	s := ss.s
 	i := s.shardOfChunk(gk)
 	src := s.shards[i].openedSource()
@@ -459,7 +424,7 @@ func (ss *setSource) PrefetchChunk(ci, gk int) {
 		}
 	}
 	if p, ok := src.(storage.ChunkPrefetcher); ok {
-		p.PrefetchChunk(ci, gk-s.chunkOffs[i])
+		p.PrefetchChunkCtx(ctx, ci, gk-s.chunkOffs[i])
 	}
 }
 
@@ -470,19 +435,14 @@ type viewSource struct {
 	shard int
 }
 
-// FetchChunk implements storage.ChunkSource.
-func (vs *viewSource) FetchChunk(ci, k int) (*storage.ChunkPayload, bool, error) {
-	return vs.ss.fetch(context.Background(), ci, vs.ss.s.chunkOffs[vs.shard]+k)
-}
-
-// FetchChunkCtx implements storage.CtxChunkSource.
+// FetchChunkCtx implements storage.ChunkSource.
 func (vs *viewSource) FetchChunkCtx(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
-	return vs.ss.fetch(ctx, ci, vs.ss.s.chunkOffs[vs.shard]+k)
+	return vs.ss.FetchChunkCtx(ctx, ci, vs.ss.s.chunkOffs[vs.shard]+k)
 }
 
-// PrefetchChunk implements storage.ChunkPrefetcher.
-func (vs *viewSource) PrefetchChunk(ci, k int) {
-	vs.ss.PrefetchChunk(ci, vs.ss.s.chunkOffs[vs.shard]+k)
+// PrefetchChunkCtx implements storage.ChunkPrefetcher.
+func (vs *viewSource) PrefetchChunkCtx(ctx context.Context, ci, k int) {
+	vs.ss.PrefetchChunkCtx(ctx, ci, vs.ss.s.chunkOffs[vs.shard]+k)
 }
 
 // remapFor returns the local→union code remap of (shard, col), nil for
@@ -544,12 +504,7 @@ func (s *Set) buildDicts(ctx context.Context, schema *storage.Schema) error {
 			if schema.Field(ci).Type != storage.String {
 				continue
 			}
-			var d []string
-			if cd, ok := be.(CtxDictBackend); ok {
-				d, err = cd.DictsCtx(ctx, ci)
-			} else {
-				d, err = be.Dicts(ci)
-			}
+			d, err := be.DictsCtx(ctx, ci)
 			if err != nil {
 				return fmt.Errorf("shard: shard %d column %d dictionary: %w", i, ci, err)
 			}
@@ -597,13 +552,13 @@ func (s *Set) buildDicts(ctx context.Context, schema *storage.Schema) error {
 	return nil
 }
 
-// manifestZones synthesizes per-shard zone maps from the manifest's v2
-// statistics for a deferred open: every chunk of a shard inherits the
-// file-level min/max, and the null count degrades to the sound
-// three-state {none, some, all} the pruning rules need. Coarser than
-// the real zone maps — but no shard file is touched, and a predicate
-// disjoint with a whole file prunes all its chunks, so the file is
-// never opened.
+// manifestZones synthesizes per-shard zone maps from the manifest's
+// per-shard statistics for a deferred open: every chunk of a shard
+// inherits the file-level min/max, and the null count degrades to the
+// sound three-state {none, some, all} the pruning rules need. Coarser
+// than the real zone maps — but no shard file is touched, and a
+// predicate disjoint with a whole file prunes all its chunks, so the
+// file is never opened.
 func manifestZones(m *Manifest) [][][]storage.ZoneMap {
 	out := make([][][]storage.ZoneMap, len(m.Shards))
 	for i, sf := range m.Shards {
@@ -611,14 +566,8 @@ func manifestZones(m *Manifest) [][][]storage.ZoneMap {
 		cols := make([][]storage.ZoneMap, len(m.Columns))
 		for ci := range m.Columns {
 			zones := make([]storage.ZoneMap, numChunks)
-			var st *ColumnStats
-			if ci < len(sf.Stats) {
-				st = &sf.Stats[ci]
-			}
+			st := sf.Stats[ci]
 			for k := range zones {
-				if st == nil {
-					continue
-				}
 				chunkRows := m.ChunkSize
 				if hi := (k + 1) * m.ChunkSize; hi > sf.Rows {
 					chunkRows = sf.Rows - k*m.ChunkSize
@@ -700,9 +649,7 @@ func (s *Set) build(schema *storage.Schema, viewZones [][][]storage.ZoneMap, def
 	for ci := range nullCounts {
 		if deferred {
 			for _, sf := range m.Shards {
-				if ci < len(sf.Stats) {
-					nullCounts[ci] += sf.Stats[ci].Nulls
-				}
+				nullCounts[ci] += sf.Stats[ci].Nulls
 			}
 		} else {
 			for _, zones := range ck.Zones[ci] {
@@ -749,7 +696,7 @@ func (s *Set) build(schema *storage.Schema, viewZones [][][]storage.ZoneMap, def
 			for _, zm := range viewZones[i][ci] {
 				vnulls += zm.NullCount
 			}
-			if deferred && ci < len(m.Shards[i].Stats) {
+			if deferred {
 				vnulls = m.Shards[i].Stats[ci].Nulls
 			}
 			cfg := storage.LazyColumnConfig{
@@ -822,8 +769,8 @@ func (s *Set) IOStats() colstore.IOStats {
 	var out colstore.IOStats
 	for _, ls := range s.shards {
 		ls.mu.Lock()
-		if iob, ok := ls.be.(IOBackend); ok {
-			st := iob.IOStats()
+		if ls.be != nil {
+			st := ls.be.IOStats()
 			out.BytesRead += st.BytesRead
 			out.ChunksDecoded += st.ChunksDecoded
 		}
@@ -847,26 +794,21 @@ func (s *Set) ShardMayMatch(i int, p query.Predicate) bool {
 	return s.manifest.ShardMayMatch(i, p)
 }
 
-// statBackendFor returns the statistics-plane interface of shard i's
-// backend for remote shards, opening the backend if needed. Local
-// shards return (nil, nil): their statistics run against the shard
-// views, sharing the chunk cache and the scan-verdict counters.
-func (s *Set) statBackendFor(i int) (StatBackend, error) {
-	return s.statBackendForCtx(context.Background(), i)
-}
-
-// statBackendForCtx is statBackendFor with the caller's context riding
-// into a deferred open.
-func (s *Set) statBackendForCtx(ctx context.Context, i int) (StatBackend, error) {
+// remoteFor returns shard i's remote backend, opening it if needed
+// with the caller's context riding into a deferred open. Local shards
+// return (nil, nil): their statistics run against the shard views,
+// sharing the chunk cache and the scan-verdict counters.
+func (s *Set) remoteFor(ctx context.Context, i int) (RemoteBackend, error) {
 	if s.shards == nil || !IsRemoteLocation(s.shards[i].locs[0]) {
 		return nil, nil
 	}
-	be, err := s.shards[i].backendCtx(ctx)
-	if err != nil {
+	ls := s.shards[i]
+	if _, err := ls.backendCtx(ctx); err != nil {
 		return nil, err
 	}
-	sb, _ := be.(StatBackend)
-	return sb, nil
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	return ls.rb, nil
 }
 
 // colIndex resolves an attribute name against the combined schema.
@@ -906,57 +848,21 @@ func (s *Set) countsToUnion(ctx context.Context, i, ci int, counts []int) ([]int
 	return out, nil
 }
 
-// RemotePredicateCount asks shard i's statistics plane how many of its
-// rows satisfy p — the per-predicate bitmap count, answered without any
-// chunk leaving the shard. Local shards (no statistics plane) return
-// ok=false; callers scan the view instead.
-func (s *Set) RemotePredicateCount(ctx context.Context, i int, p query.Predicate) (count int, ok bool, err error) {
-	sb, err := s.statBackendForCtx(ctx, i)
-	if err != nil || sb == nil {
-		return 0, false, err
-	}
-	count, err = sb.PredicateCount(ctx, p)
-	if err != nil {
-		return 0, true, err
-	}
-	return count, true, nil
-}
-
 // RemotePredicateBits asks shard i's statistics plane for the exact
-// selection bitmap of p, so a non-empty predicate is assembled without
-// any chunk leaving the shard. Local shards, backends without the
-// bitmap extension, and old servers answering a non-zero count without
-// words all return ok=false; callers scan the view instead. The bitmap
-// is validated against the server's own count before it is trusted —
-// on mismatch the caller falls back to scanning.
+// selection bitmap of p, so a predicate is assembled without any chunk
+// leaving the shard. Local shards return ok=false; callers scan the
+// view instead. The bitmap is validated against the server's own count
+// before it is trusted — on mismatch the caller falls back to scanning.
 func (s *Set) RemotePredicateBits(ctx context.Context, i int, p query.Predicate) (bm *bitvec.Vector, ok bool, err error) {
-	sb, err := s.statBackendForCtx(ctx, i)
-	if err != nil || sb == nil {
+	rb, err := s.remoteFor(ctx, i)
+	if err != nil || rb == nil {
+		return nil, false, err
+	}
+	count, words, err := rb.PredicateBits(ctx, p)
+	if err != nil {
 		return nil, false, err
 	}
 	rows := s.views[i].NumRows()
-	pb, isPB := sb.(PredBitsBackend)
-	if !isPB {
-		// Count-only plane: the empty case still skips the chunk plane.
-		n, err := sb.PredicateCount(ctx, p)
-		if err != nil {
-			return nil, false, err
-		}
-		if n == 0 {
-			return bitvec.New(rows), true, nil
-		}
-		return nil, false, nil
-	}
-	count, words, err := pb.PredicateBits(ctx, p)
-	if err != nil {
-		return nil, false, err
-	}
-	if words == nil {
-		if count == 0 {
-			return bitvec.New(rows), true, nil
-		}
-		return nil, false, nil
-	}
 	v := bitvec.New(rows)
 	w := v.Words()
 	if len(words) != len(w) {
@@ -1007,21 +913,14 @@ func (s *Set) ShardHealth(i int) ShardHealthInfo {
 		info.Healthy = true
 		return info
 	}
-	be, err := ls.backend()
+	rb, err := s.remoteFor(context.Background(), i)
 	if err != nil {
 		info.Err = err
 		return info
 	}
 	info.Opened = true
-	if rb, ok := be.(ReplicaBackend); ok {
-		info.Replicas = rb.Replicas()
-	}
-	hb, ok := be.(HealthBackend)
-	if !ok {
-		info.Healthy = true
-		return info
-	}
-	lat, err := hb.Health()
+	info.Replicas = rb.Replicas()
+	lat, err := rb.Health()
 	if err != nil {
 		info.Err = err
 		return info
@@ -1033,21 +932,17 @@ func (s *Set) ShardHealth(i int) ShardHealthInfo {
 // ShardServerStats polls shard i's server-side counters over the
 // fabric (GET /shard/v1/stats), opening the backend if needed — like
 // ShardHealth, a rollup scrape is a diagnostic, not a data path.
-// polled is false when the shard is local or its backend lacks the
-// capability (an old server, say); err carries open or RPC failures.
+// polled is false when the shard is local; err carries open or RPC
+// failures.
 func (s *Set) ShardServerStats(ctx context.Context, i int) (stats ServerStats, polled bool, err error) {
 	if s.shards == nil || !IsRemoteLocation(s.shards[i].locs[0]) {
 		return ServerStats{}, false, nil
 	}
-	be, err := s.shards[i].backendCtx(ctx)
+	rb, err := s.remoteFor(ctx, i)
 	if err != nil {
 		return ServerStats{}, true, err
 	}
-	sb, ok := be.(ServerStatsBackend)
-	if !ok {
-		return ServerStats{}, false, nil
-	}
-	stats, err = sb.ServerStats(ctx)
+	stats, err = rb.ServerStats(ctx)
 	return stats, true, err
 }
 
@@ -1263,7 +1158,7 @@ type Provider struct {
 func (p *Provider) NumericStats(ctx context.Context, attr string, opts core.CutOptions) ([]float64, *sketch.GK, error) {
 	runs := make([][]float64, p.s.NumShards())
 	err := par.For(p.workers, len(runs), func(i int) error {
-		if sb, err := p.s.statBackendForCtx(ctx, i); err != nil {
+		if sb, err := p.s.remoteFor(ctx, i); err != nil {
 			return err
 		} else if sb != nil {
 			vals, err := sb.NumericValues(ctx, attr)
@@ -1318,7 +1213,7 @@ func (p *Provider) CategoryStats(ctx context.Context, attr string) ([]string, []
 	partCounts := make([][]int, n)
 	var dict []string
 	err := par.For(p.workers, n, func(i int) error {
-		if sb, err := p.s.statBackendForCtx(ctx, i); err != nil {
+		if sb, err := p.s.remoteFor(ctx, i); err != nil {
 			return err
 		} else if sb != nil {
 			ci, err := p.s.colIndex(attr)
@@ -1377,7 +1272,7 @@ func (p *Provider) BoolStats(ctx context.Context, attr string) (int, int, error)
 	falses := make([]int, n)
 	trues := make([]int, n)
 	err := par.For(p.workers, n, func(i int) error {
-		if sb, err := p.s.statBackendForCtx(ctx, i); err != nil {
+		if sb, err := p.s.remoteFor(ctx, i); err != nil {
 			return err
 		} else if sb != nil {
 			f, t, err := sb.BoolCounts(ctx, attr)
@@ -1460,7 +1355,7 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 	}
 	perShard := make([][]*ColumnPartial, s.NumShards())
 	err := par.For(parallelism, s.NumShards(), func(i int) error {
-		if sb, err := s.statBackendFor(i); err != nil {
+		if sb, err := s.remoteFor(context.Background(), i); err != nil {
 			return err
 		} else if sb != nil {
 			// Statistics plane: all columns in one round trip, computed

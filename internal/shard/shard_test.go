@@ -32,20 +32,6 @@ func writeTestSet(t *testing.T, tbl *storage.Table, o IngestOptions) (*Set, stri
 	return set, path
 }
 
-// renderResult flattens a Result into a deterministic string (everything
-// except timing).
-func renderResult(r *core.Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s | base=%d/%d\n", r.Input.String(), r.BaseCount, r.TotalRows)
-	for _, f := range r.Flagged {
-		fmt.Fprintf(&b, "flag %s %s\n", f.Attr, f.Reason)
-	}
-	for _, m := range r.Maps {
-		b.WriteString(m.String())
-	}
-	return b.String()
-}
-
 // TestShardedExploreByteIdentical is the tentpole acceptance test:
 // Explore over a shard set must be byte-identical to Explore over the
 // unsharded table, at every (shard count, parallelism) pair.
@@ -68,7 +54,7 @@ func TestShardedExploreByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := renderResult(ref)
+		want := ref.Canonical()
 		for _, shards := range []int{1, 2, 4, 8} {
 			set, _ := writeTestSet(t, tbl, IngestOptions{Shards: shards, ChunkSize: 256})
 			if set.NumShards() != shards {
@@ -85,7 +71,7 @@ func TestShardedExploreByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := renderResult(res); got != want {
+				if got := res.Canonical(); got != want {
 					t.Errorf("query %s, shards=%d workers=%d: sharded result differs:\n got: %s\nwant: %s",
 						q.String(), shards, workers, got, want)
 				}
@@ -111,7 +97,7 @@ func TestShardedExploreSketchCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderResult(ref)
+	want := ref.Canonical()
 	set, _ := writeTestSet(t, tbl, IngestOptions{Shards: 4, ChunkSize: 256})
 	for _, workers := range []int{1, 8} {
 		o := opts
@@ -124,7 +110,7 @@ func TestShardedExploreSketchCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := renderResult(res); got != want {
+		if got := res.Canonical(); got != want {
 			t.Errorf("sketch cut, workers=%d: sharded result differs:\n got: %s\nwant: %s", workers, got, want)
 		}
 	}
@@ -224,7 +210,7 @@ func TestHashPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderResult(res) != renderResult(ref) {
+	if res.Canonical() != ref.Canonical() {
 		t.Errorf("hash-sharded result differs from combined-table result")
 	}
 }
@@ -312,15 +298,21 @@ func TestOpenMixedSchema(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The manifest declares shard 0's schema; shard 1's file disagrees.
+	var cols []ColumnSchema
+	for _, f := range a.Schema().Fields() {
+		cols = append(cols, ColumnSchema{Name: f.Name, Type: columnTypeName(f.Type)})
+	}
 	m := &Manifest{
 		Version:      ManifestVersion,
 		Table:        "mixed",
 		Partitioning: PartitionRange,
 		ChunkSize:    128,
 		Rows:         2_000,
+		Columns:      cols,
 		Shards: []ShardFile{
-			{File: "t.00000.atl", Rows: 1_000},
-			{File: "t.00001.atl", Rows: 1_000},
+			{File: "t.00000.atl", Rows: 1_000, Stats: make([]ColumnStats, len(cols))},
+			{File: "t.00001.atl", Rows: 1_000, Stats: make([]ColumnStats, len(cols))},
 		},
 	}
 	path := filepath.Join(dir, "t.atlm")
@@ -360,7 +352,8 @@ func TestManifestValidation(t *testing.T) {
 	base := func() *Manifest {
 		return &Manifest{
 			Version: ManifestVersion, Table: "t", Partitioning: PartitionRange,
-			ChunkSize: 128, Rows: 10, Shards: []ShardFile{{File: "x.atl", Rows: 10}},
+			ChunkSize: 128, Rows: 10, Columns: []ColumnSchema{{Name: "x", Type: "int64"}},
+			Shards: []ShardFile{{File: "x.atl", Rows: 10, Stats: []ColumnStats{{}}}},
 		}
 	}
 	cases := []struct {
@@ -369,6 +362,9 @@ func TestManifestValidation(t *testing.T) {
 		wants string
 	}{
 		{"bad version", func(m *Manifest) { m.Version = 99 }, "version"},
+		{"no columns", func(m *Manifest) { m.Columns = nil }, "no columns"},
+		{"bad column type", func(m *Manifest) { m.Columns[0].Type = "decimal" }, "column type"},
+		{"missing stats", func(m *Manifest) { m.Shards[0].Stats = nil }, "column stats"},
 		{"bad partitioning", func(m *Manifest) { m.Partitioning = "round-robin" }, "partitioning"},
 		{"hash without key", func(m *Manifest) { m.Partitioning = PartitionHash }, "key"},
 		{"range with key", func(m *Manifest) { m.Key = "x" }, "key"},

@@ -80,37 +80,24 @@ func (p *ChunkPayload) MemBytes() int64 {
 // for the same (column, chunk), regardless of cache state: that is what
 // keeps lazy scans byte-identical to eager ones at any cache budget.
 type ChunkSource interface {
-	// FetchChunk returns chunk k of column ci. hit reports whether the
-	// payload was served from a decoded-chunk cache (false = this call
-	// decoded it).
-	FetchChunk(ci, k int) (p *ChunkPayload, hit bool, err error)
-}
-
-// CtxChunkSource is the optional context-aware side of a ChunkSource:
-// sources that do I/O with per-request state (remote shard clients
-// carrying trace spans and request IDs) implement it; ChunkCtx prefers
-// it when present. Semantics are identical to FetchChunk.
-type CtxChunkSource interface {
+	// FetchChunkCtx returns chunk k of column ci. hit reports whether
+	// the payload was served from a decoded-chunk cache (false = this
+	// call decoded it). ctx (never nil) carries the request's trace span,
+	// request ID and resource ledger into any I/O the fetch does.
 	FetchChunkCtx(ctx context.Context, ci, k int) (p *ChunkPayload, hit bool, err error)
 }
 
-// ChunkPrefetcher is the optional speculative side of a ChunkSource: a
-// hint that chunk k of column ci is about to be fetched. Implementations
-// start an asynchronous single-flight load (sharing the fetch path's
-// cache, so the real fetch either hits or joins the flight) and must be
+// ChunkPrefetcher is the speculative side of a ChunkSource: a hint that
+// chunk k of column ci is about to be fetched. Implementations start an
+// asynchronous single-flight load (sharing the fetch path's cache, so
+// the real fetch either hits or joins the flight) and must be
 // eviction-aware — a prefetch that would push resident chunks out of a
-// bounded cache is skipped, never traded. Sources without the method
-// simply ignore hints.
+// bounded cache is skipped, never traded. The load carries ctx's values
+// (resource ledger, request ID) so speculative I/O is billed to the
+// query that caused it, but must detach from its cancellation — the
+// request may complete before the flight does. Sources with nothing to
+// load (in-memory tables) do not implement it.
 type ChunkPrefetcher interface {
-	PrefetchChunk(ci, k int)
-}
-
-// CtxChunkPrefetcher is the context-aware side of a ChunkPrefetcher:
-// the asynchronous load carries the request's values (resource ledger,
-// request ID) so speculative I/O is billed to the query that caused it.
-// Implementations must detach from the context's cancellation — the
-// request may complete before the flight does.
-type CtxChunkPrefetcher interface {
 	PrefetchChunkCtx(ctx context.Context, ci, k int)
 }
 
@@ -167,7 +154,7 @@ type LazyColumn struct {
 type LazyColumnConfig struct {
 	// Source supplies the column's chunks.
 	Source ChunkSource
-	// Col is the column index FetchChunk is called with.
+	// Col is the column index FetchChunkCtx is called with.
 	Col int
 	// Type is the column's data type.
 	Type DataType
@@ -240,22 +227,17 @@ func (c *LazyColumn) NumChunks() int {
 
 // Chunk fetches chunk k, reporting whether it came from cache.
 func (c *LazyColumn) Chunk(k int) (*ChunkPayload, bool, error) {
-	p, hit, err := c.src.FetchChunk(c.ci, k)
-	if err != nil {
-		return nil, false, &ChunkError{Col: c.ci, Chunk: k, Err: err}
-	}
-	return p, hit, nil
+	return c.ChunkCtx(nil, k)
 }
 
-// ChunkCtx is Chunk with a request context: when the source is
-// context-aware the fetch carries ctx (trace span, request ID) over
-// the wire. A nil ctx, or a plain source, degrades to Chunk.
+// ChunkCtx is Chunk with a request context: the fetch carries ctx
+// (trace span, request ID, resource ledger) into the source's I/O. A
+// nil ctx stands for context.Background().
 func (c *LazyColumn) ChunkCtx(ctx context.Context, k int) (*ChunkPayload, bool, error) {
-	cs, ok := c.src.(CtxChunkSource)
-	if !ok || ctx == nil {
-		return c.Chunk(k)
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	p, hit, err := cs.FetchChunkCtx(ctx, c.ci, k)
+	p, hit, err := c.src.FetchChunkCtx(ctx, c.ci, k)
 	if err != nil {
 		return nil, false, &ChunkError{Col: c.ci, Chunk: k, Err: err}
 	}
@@ -281,23 +263,21 @@ func (c *LazyColumn) PrefetchHint(k int) {
 	c.PrefetchHintCtx(nil, k)
 }
 
-// PrefetchHintCtx is PrefetchHint with a request context: on
-// context-aware sources the speculative load is billed to the request's
-// resource ledger. A nil ctx, or a plain source, degrades to the
-// context-free hint.
+// PrefetchHintCtx is PrefetchHint with a request context: the
+// speculative load is billed to the request's resource ledger. A nil
+// ctx stands for context.Background().
 func (c *LazyColumn) PrefetchHintCtx(ctx context.Context, k int) {
 	if k < 0 || k >= c.NumChunks() {
 		return
 	}
-	if ctx != nil {
-		if p, ok := c.src.(CtxChunkPrefetcher); ok {
-			p.PrefetchChunkCtx(ctx, c.ci, k)
-			return
-		}
+	p, ok := c.src.(ChunkPrefetcher)
+	if !ok {
+		return
 	}
-	if p, ok := c.src.(ChunkPrefetcher); ok {
-		p.PrefetchChunk(c.ci, k)
+	if ctx == nil {
+		ctx = context.Background()
 	}
+	p.PrefetchChunkCtx(ctx, c.ci, k)
 }
 
 // DictValues returns the dictionary of a String column, resolving it on
@@ -634,8 +614,9 @@ func TableChunkSource(t *Table) (ChunkSource, error) {
 	return &tableSource{t: t, ck: ck}, nil
 }
 
-// FetchChunk implements ChunkSource.
-func (s *tableSource) FetchChunk(ci, k int) (*ChunkPayload, bool, error) {
+// FetchChunkCtx implements ChunkSource; slicing does no I/O, so ctx is
+// unused.
+func (s *tableSource) FetchChunkCtx(_ context.Context, ci, k int) (*ChunkPayload, bool, error) {
 	lo := k * s.ck.Size
 	hi := lo + s.ck.Size
 	if hi > s.t.NumRows() {
