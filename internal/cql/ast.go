@@ -1,6 +1,7 @@
 package cql
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -15,6 +16,21 @@ type Statement struct {
 	// Options holds the WITH clause, zero-valued fields meaning unset.
 	Options Options
 }
+
+// Upper bounds on the integer WITH options. Each sizes the work and
+// memory one request may claim: SPLITS allocates a row bitmap per
+// region of every cut, REGIONS and PREDICATES size the merge and the
+// clustering, MAPS the ranked result.
+const (
+	MaxMaps       = 64
+	MaxRegions    = 256
+	MaxPredicates = 16
+	MaxSplits     = 256
+)
+
+// ErrOptionBound is wrapped by the parse error for an integer WITH
+// option above its bound.
+var ErrOptionBound = errors.New("cql: WITH option above its bound")
 
 // Options carries the WITH clause knobs that map onto the pipeline
 // configuration.

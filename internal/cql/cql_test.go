@@ -1,6 +1,8 @@
 package cql
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -294,5 +296,20 @@ func TestStatementStringWithOptions(t *testing.T) {
 	s := stmt.String()
 	if !strings.Contains(s, "MAPS 4") || !strings.Contains(s, "THRESHOLD 0.9") {
 		t.Fatalf("String = %q", s)
+	}
+}
+
+// TestOptionBounds: each integer WITH option accepts its bound and
+// refuses anything above it with ErrOptionBound, huge values included.
+func TestOptionBounds(t *testing.T) {
+	for kw, bound := range map[string]int{"MAPS": MaxMaps, "REGIONS": MaxRegions, "PREDICATES": MaxPredicates, "SPLITS": MaxSplits} {
+		if _, err := Parse(fmt.Sprintf("EXPLORE t WITH %s %d", kw, bound)); err != nil {
+			t.Errorf("%s %d: %v", kw, bound, err)
+		}
+		for _, v := range []string{fmt.Sprint(bound + 1), "1000000000000000000", "1e300"} {
+			if _, err := Parse(fmt.Sprintf("EXPLORE t WITH %s %s", kw, v)); !errors.Is(err, ErrOptionBound) {
+				t.Errorf("%s %s: err = %v, want ErrOptionBound", kw, v, err)
+			}
+		}
 	}
 }

@@ -268,24 +268,27 @@ func (p *parser) parseOptions(o *Options) error {
 		kw := strings.ToUpper(p.peek().Text)
 		switch kw {
 		case "MAPS", "REGIONS", "PREDICATES", "SPLITS":
-			p.next()
+			pos := p.next().Pos
 			v, err := p.parseNumber()
 			if err != nil {
 				return err
 			}
+			field, bound := &o.Maps, MaxMaps
+			switch kw {
+			case "REGIONS":
+				field, bound = &o.Regions, MaxRegions
+			case "PREDICATES":
+				field, bound = &o.Predicates, MaxPredicates
+			case "SPLITS":
+				field, bound = &o.Splits, MaxSplits
+			}
+			if v > float64(bound) {
+				return fmt.Errorf("%w: position %d: %s %s exceeds %d", ErrOptionBound, pos, kw, strconv.FormatFloat(v, 'f', -1, 64), bound)
+			}
 			if v != float64(int(v)) || v < 1 {
 				return p.errf("%s needs a positive integer", kw)
 			}
-			switch kw {
-			case "MAPS":
-				o.Maps = int(v)
-			case "REGIONS":
-				o.Regions = int(v)
-			case "PREDICATES":
-				o.Predicates = int(v)
-			case "SPLITS":
-				o.Splits = int(v)
-			}
+			*field = int(v)
 		case "CUT", "MERGE", "DISTANCE":
 			p.next()
 			t, err := p.expect(TokIdent)

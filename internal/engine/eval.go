@@ -7,6 +7,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/obsv"
@@ -192,39 +193,28 @@ func CategoryCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if lc, ok := col.(*storage.LazyColumn); ok {
-		if lc.Type() != storage.String {
-			return nil, nil, fmt.Errorf("engine: column %q is not categorical (type %v)", attr, col.Type())
-		}
-		dict, err = lc.DictValues()
-		if err != nil {
-			return nil, nil, err
-		}
-		counts = make([]int, len(dict))
-		err = lc.ForEachSelectedCtx(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
-			if l := i - lo; !p.IsNull(l) {
-				counts[p.Codes[l]]++
-			}
-			return true
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return dict, counts, nil
-	}
-	c, ok := col.(*storage.StringColumn)
-	if !ok {
+	if col.Type() != storage.String {
 		return nil, nil, fmt.Errorf("engine: column %q is not categorical (type %v)", attr, col.Type())
 	}
-	counts = make([]int, c.Cardinality())
-	codes := c.Codes()
-	sel.ForEach(func(i int) bool {
-		if !c.IsNull(i) {
-			counts[codes[i]]++
+	if dict, err = dictOf(col); err != nil {
+		return nil, nil, err
+	}
+	counts = make([]int, len(dict))
+	err = forEachSelectedSpan(ctx, col, sel, func(p *storage.ChunkPayload, words []uint64) {
+		for wi, w := range words {
+			if p.Nulls != nil {
+				w &^= p.Nulls[wi]
+			}
+			codes := p.Codes[wi*64:]
+			for ; w != 0; w &= w - 1 {
+				counts[codes[bits.TrailingZeros64(w)]]++
+			}
 		}
-		return true
 	})
-	return c.Dict(), counts, nil
+	if err != nil {
+		return nil, nil, err
+	}
+	return dict, counts, nil
 }
 
 // BoolCountsUnder returns the (false, true) counts of a bool column under
@@ -243,38 +233,57 @@ func BoolCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, sel 
 	if err != nil {
 		return 0, 0, err
 	}
-	if lc, ok := col.(*storage.LazyColumn); ok {
-		if lc.Type() != storage.Bool {
-			return 0, 0, fmt.Errorf("engine: column %q is not boolean (type %v)", attr, col.Type())
-		}
-		err = lc.ForEachSelectedCtx(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
-			if l := i - lo; !p.IsNull(l) {
-				if p.Bools[l] {
-					trues++
-				} else {
-					falses++
-				}
-			}
-			return true
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		return falses, trues, nil
-	}
-	c, ok := col.(*storage.BoolColumn)
-	if !ok {
+	if col.Type() != storage.Bool {
 		return 0, 0, fmt.Errorf("engine: column %q is not boolean (type %v)", attr, col.Type())
 	}
-	sel.ForEach(func(i int) bool {
-		if !c.IsNull(i) {
-			if c.At(i) {
-				trues++
-			} else {
-				falses++
+	live := 0
+	err = forEachSelectedSpan(ctx, col, sel, func(p *storage.ChunkPayload, words []uint64) {
+		for wi, w := range words {
+			if p.Nulls != nil {
+				w &^= p.Nulls[wi]
+			}
+			vals := p.Bools[wi*64:]
+			live += bits.OnesCount64(w)
+			for ; w != 0; w &= w - 1 {
+				trues += b2i(vals[bits.TrailingZeros64(w)])
 			}
 		}
-		return true
 	})
-	return falses, trues, nil
+	if err != nil {
+		return 0, 0, err
+	}
+	return live - trues, trues, nil
+}
+
+// forEachSelectedSpan calls fn with each payload span of col that holds
+// a selected row and the span's selection words: chunk by chunk on
+// memory-tiered columns (untouched chunks are never fetched), and as one
+// zero-copy span of the whole column otherwise.
+func forEachSelectedSpan(ctx context.Context, col storage.Column, sel *bitvec.Vector, fn func(p *storage.ChunkPayload, words []uint64)) error {
+	if lc, ok := col.(*storage.LazyColumn); ok {
+		return lc.ForEachSelectedChunkCtx(ctx, sel, func(p *storage.ChunkPayload, _ int, words []uint64) bool {
+			fn(p, words)
+			return true
+		})
+	}
+	if sel.Len() != col.Len() {
+		return fmt.Errorf("engine: selection length %d != column length %d", sel.Len(), col.Len())
+	}
+	p, err := storage.ColumnSpan(col, 0, col.Len())
+	if err != nil {
+		return err
+	}
+	fn(p, sel.Words())
+	return nil
+}
+
+// dictOf returns the dictionary of a String column.
+func dictOf(col storage.Column) ([]string, error) {
+	switch c := col.(type) {
+	case *storage.StringColumn:
+		return c.Dict(), nil
+	case *storage.LazyColumn:
+		return c.DictValues()
+	}
+	return nil, fmt.Errorf("engine: no dictionary on column type %T", col)
 }

@@ -11,26 +11,19 @@ import (
 	"repro/internal/storage"
 )
 
-// PartitionBits assigns every selected row to the first of the given
-// single-attribute predicates it satisfies, in one pass over the column:
-// the fused kernel behind CUT-produced region partitions. It returns one
-// disjoint bitmap per predicate; NULL rows and rows matching no
-// predicate are left out. For categorical columns the predicates are
-// compiled to a code→region table, making the per-row cost O(1)
-// regardless of the number of regions.
+// PartitionBitsOpts assigns every selected row to the first of the
+// given single-attribute predicates it satisfies, in one pass over the
+// column: the fused kernel behind CUT-produced region partitions. It
+// returns one disjoint bitmap per predicate; NULL rows and rows matching
+// no predicate are left out. All predicates must target attr with the
+// kind matching the column type. Compared with evaluating each region
+// query independently, this replaces k full scans with one.
 //
-// All predicates must target attr with the kind matching the column
-// type. Compared with evaluating each region query independently, this
-// replaces k full scans with one.
-func PartitionBits(t *storage.Table, attr string, preds []query.Predicate, sel *bitvec.Vector) ([]*bitvec.Vector, error) {
-	return PartitionBitsOpts(t, attr, preds, sel, ScanOptions{})
-}
-
-// PartitionBitsOpts is PartitionBits with scan options: on tables with
-// chunk metadata, opts.Workers shards the partitioning pass chunk by
+// On tables with chunk metadata, opts.Workers shards the pass chunk by
 // chunk across workers, exactly like a predicate scan. Chunks map to
 // disjoint word ranges of every output bitmap, so the partition is
-// byte-identical at any worker count.
+// byte-identical at any worker count. On memory-tiered columns chunks
+// with no selected rows are never fetched.
 func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, sel *bitvec.Vector, opts ScanOptions) ([]*bitvec.Vector, error) {
 	if len(preds) == 0 {
 		return nil, fmt.Errorf("engine: partition with zero predicates")
@@ -47,6 +40,10 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 			return nil, fmt.Errorf("engine: partition predicate on %q, want %q", p.Attr, attr)
 		}
 	}
+	rm, err := compileRegions(col, preds)
+	if err != nil {
+		return nil, err
+	}
 	n := t.NumRows()
 	out := make([]*bitvec.Vector, len(preds))
 	outWords := make([][]uint64, len(preds))
@@ -54,269 +51,261 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 		out[i] = bitvec.New(n)
 		outWords[i] = out[i].Words()
 	}
-	place := func(i, ri int) {
-		outWords[ri][i>>6] |= uint64(1) << uint(i&63)
-	}
-
-	// visit resolves one selected row: tests it against the predicates in
-	// order and records the first match. Rows are only ever touched once
-	// and chunk boundaries are word-aligned, so driving visit over
-	// disjoint word ranges from several workers races on nothing. On
-	// memory-tiered columns mkVisit builds the visitor per chunk from the
-	// fetched payload; chunks with no selected rows are never fetched.
-	var visit func(i int)
-	var lazyCol *storage.LazyColumn
-	var mkVisit func(p *storage.ChunkPayload, lo int) func(i int)
-	switch c := col.(type) {
-	case *storage.Int64Column:
-		if err := predsAreKind(preds, query.Range, col); err != nil {
-			return nil, err
-		}
-		vals := c.Values()
-		visit = func(i int) {
-			if c.IsNull(i) {
-				return
-			}
-			v := float64(vals[i])
-			for ri := range preds {
-				if preds[ri].MatchFloat(v) {
-					place(i, ri)
-					return
-				}
-			}
-		}
-	case *storage.Float64Column:
-		if err := predsAreKind(preds, query.Range, col); err != nil {
-			return nil, err
-		}
-		vals := c.Values()
-		visit = func(i int) {
-			if c.IsNull(i) {
-				return
-			}
-			for ri := range preds {
-				if preds[ri].MatchFloat(vals[i]) {
-					place(i, ri)
-					return
-				}
-			}
-		}
-	case *storage.StringColumn:
-		if err := predsAreKind(preds, query.In, col); err != nil {
-			return nil, err
-		}
-		// compile once: dictionary code → first admitting region
-		region := make([]int32, c.Cardinality())
-		for i := range region {
-			region[i] = -1
-		}
-		for ri, p := range preds {
-			for _, v := range p.Values {
-				if code, ok := c.CodeOf(v); ok && region[code] < 0 {
-					region[code] = int32(ri)
-				}
-			}
-		}
-		codes := c.Codes()
-		visit = func(i int) {
-			// Null check first: null rows may carry placeholder codes.
-			if c.IsNull(i) {
-				return
-			}
-			if ri := region[codes[i]]; ri >= 0 {
-				place(i, int(ri))
-			}
-		}
-	case *storage.BoolColumn:
-		if err := predsAreKind(preds, query.BoolEq, col); err != nil {
-			return nil, err
-		}
-		vals := c.Values()
-		visit = func(i int) {
-			if c.IsNull(i) {
-				return
-			}
-			for ri := range preds {
-				if preds[ri].MatchBool(vals[i]) {
-					place(i, ri)
-					return
-				}
-			}
-		}
-	case *storage.LazyColumn:
-		lazyCol = c
-		mkVisit, err = compileLazyVisit(c, preds, place)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("engine: unsupported column type %T", col)
-	}
-
-	led := obsv.LedgerFrom(opts.Ctx)
 	selWords := sel.Words()
-	ck := t.Chunking()
-	if ck == nil {
-		if lazyCol != nil {
-			return nil, fmt.Errorf("engine: lazy column partition requires chunk metadata")
-		}
-		visitSelectedRange(selWords, 0, len(selWords), visit)
-		return out, nil
+	lazyCol, _ := col.(*storage.LazyColumn)
+	// Without chunk metadata the whole column is one span.
+	size, numChunks := n, 1
+	if ck := t.Chunking(); ck != nil {
+		size, numChunks = ck.Size, ck.NumChunks(n)
+	} else if lazyCol != nil {
+		return nil, fmt.Errorf("engine: lazy column partition requires chunk metadata")
 	}
-	numChunks := ck.NumChunks(n)
-	wordsPerChunk := ck.Size / 64
-	visitChunk := func(k int) error {
+	led := obsv.LedgerFrom(opts.Ctx)
+	wordsPerChunk := (size + 63) / 64
+	partChunk := func(k int) error {
 		// Chunk-granular cancellation, before any fetch or row visit.
 		if err := obsv.CheckCtx(opts.Ctx, "engine.partition"); err != nil {
 			return err
 		}
 		w0 := k * wordsPerChunk
-		w1 := w0 + wordsPerChunk
-		if w1 > len(selWords) {
-			w1 = len(selWords)
+		w1 := min(w0+wordsPerChunk, len(selWords))
+		if !anyWordsRange(selWords, w0, w1) {
+			return nil
 		}
-		v := visit
+		var p *storage.ChunkPayload
+		var err error
 		if lazyCol != nil {
-			if !anyWordsRange(selWords, w0, w1) {
-				return nil
-			}
-			p, hit, err := lazyCol.ChunkCtx(opts.Ctx, k)
-			if err != nil {
+			var hit bool
+			if p, hit, err = lazyCol.ChunkCtx(opts.Ctx, k); err != nil {
 				return err
 			}
 			countFetch(opts.Stats, hit)
 			led.ChunkFetch(hit)
-			v = mkVisit(p, k*ck.Size)
+		} else if p, err = storage.ColumnSpan(col, k*size, min((k+1)*size, n)); err != nil {
+			return err
 		}
-		visitSelectedRange(selWords, w0, w1, v)
+		rm.scatter(p, selWords[w0:w1], outWords, w0)
 		return nil
 	}
-	workers := opts.Workers
-	if workers > numChunks {
-		workers = numChunks
-	}
-	if workers <= 1 {
-		if lazyCol == nil {
-			visitSelectedRange(selWords, 0, len(selWords), visit)
-			return out, nil
-		}
-		for k := 0; k < numChunks; k++ {
-			if err := visitChunk(k); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	if err := par.For(workers, numChunks, visitChunk); err != nil {
+	if err := par.For(opts.Workers, numChunks, partChunk); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// compileLazyVisit builds the per-chunk row visitor of a partition pass
-// over a memory-tiered column.
-func compileLazyVisit(c *storage.LazyColumn, preds []query.Predicate, place func(i, ri int)) (func(p *storage.ChunkPayload, lo int) func(i int), error) {
-	switch c.Type() {
+// regionMap is a predicate list compiled to a row → region-code map:
+// code r < k is the first predicate the row satisfies, code k is none.
+// String and Bool columns map through a table; numeric columns through
+// the edges of a CUT-shaped list or, for any other list, a first-match
+// scan of the ranges.
+type regionMap struct {
+	typ   storage.DataType
+	k     int
+	table []uint32          // String: dictionary code → code; Bool: false, true → code
+	edges []float64         // CUT shape: k+1 strictly increasing edges
+	preds []query.Predicate // numeric lists without the CUT shape
+}
+
+func compileRegions(col storage.Column, preds []query.Predicate) (*regionMap, error) {
+	rm := &regionMap{typ: col.Type(), k: len(preds)}
+	var want query.PredKind
+	switch rm.typ {
 	case storage.Int64, storage.Float64:
-		if err := predsAreKind(preds, query.Range, c); err != nil {
-			return nil, err
-		}
-		return func(p *storage.ChunkPayload, lo int) func(i int) {
-			return func(i int) {
-				l := i - lo
-				if p.IsNull(l) {
-					return
-				}
-				v := p.Numeric(l)
-				for ri := range preds {
-					if preds[ri].MatchFloat(v) {
-						place(i, ri)
-						return
-					}
-				}
-			}
-		}, nil
+		want = query.Range
 	case storage.String:
-		if err := predsAreKind(preds, query.In, c); err != nil {
-			return nil, err
+		want = query.In
+	case storage.Bool:
+		want = query.BoolEq
+	default:
+		return nil, fmt.Errorf("engine: unsupported column type %v", rm.typ)
+	}
+	for _, p := range preds {
+		if p.Kind != want {
+			return nil, kindErr(p, col)
 		}
-		dict, err := c.DictValues()
+	}
+	switch rm.typ {
+	case storage.String:
+		dict, err := dictOf(col)
 		if err != nil {
 			return nil, err
 		}
-		// compile once: dictionary code → first admitting region
-		index := make(map[string]int32, len(dict))
+		index := make(map[string]int, len(dict))
 		for code, v := range dict {
-			index[v] = int32(code)
+			if _, dup := index[v]; !dup {
+				index[v] = code
+			}
 		}
-		region := make([]int32, len(dict))
-		for i := range region {
-			region[i] = -1
+		rm.table = make([]uint32, len(dict))
+		for code := range rm.table {
+			rm.table[code] = uint32(rm.k)
 		}
-		for ri, p := range preds {
-			for _, v := range p.Values {
-				if code, ok := index[v]; ok && region[code] < 0 {
-					region[code] = int32(ri)
+		// Later predicates never override an earlier admitting one.
+		for ri := len(preds) - 1; ri >= 0; ri-- {
+			for _, v := range preds[ri].Values {
+				if code, ok := index[v]; ok {
+					rm.table[code] = uint32(ri)
 				}
 			}
 		}
-		return func(p *storage.ChunkPayload, lo int) func(i int) {
-			return func(i int) {
-				l := i - lo
-				// Null check first: null rows may carry placeholder codes.
-				if p.IsNull(l) {
-					return
-				}
-				if ri := region[p.Codes[l]]; ri >= 0 {
-					place(i, int(ri))
-				}
-			}
-		}, nil
 	case storage.Bool:
-		if err := predsAreKind(preds, query.BoolEq, c); err != nil {
-			return nil, err
+		rm.table = []uint32{uint32(rm.k), uint32(rm.k)}
+		for ri := len(preds) - 1; ri >= 0; ri-- {
+			rm.table[b2i(preds[ri].BoolVal)] = uint32(ri)
 		}
-		return func(p *storage.ChunkPayload, lo int) func(i int) {
-			return func(i int) {
-				l := i - lo
-				if p.IsNull(l) {
-					return
-				}
-				for ri := range preds {
-					if preds[ri].MatchBool(p.Bools[l]) {
-						place(i, ri)
-						return
-					}
-				}
-			}
-		}, nil
 	default:
-		return nil, fmt.Errorf("engine: unsupported lazy column type %v", c.Type())
+		rm.edges = cutEdges(preds)
+		if rm.edges == nil {
+			rm.preds = preds
+		}
+	}
+	return rm, nil
+}
+
+// cutEdges returns the edges e0 < … < ek of a CUT-shaped range list —
+// [e0,e1), [e1,e2), …, [ek-1,ek] — or nil for any other list. For
+// non-NaN v in [e0, ek] the first matching range is then the count of
+// inner edges ≤ v; NaN satisfies every range, so it lands in range 0,
+// and comparing NaN against the edges yields that count too.
+func cutEdges(preds []query.Predicate) []float64 {
+	edges := make([]float64, 0, len(preds)+1)
+	for i, p := range preds {
+		last := i == len(preds)-1
+		if !p.LoIncl || p.HiIncl != last || !(p.Lo < p.Hi) || (i > 0 && p.Lo != preds[i-1].Hi) {
+			return nil
+		}
+		edges = append(edges, p.Lo)
+	}
+	return append(edges, preds[len(preds)-1].Hi)
+}
+
+// scatter maps the live rows of one payload span to region codes and
+// writes each region's rows into its bitmap. sel holds the span's
+// selection words; span word wi is word w0+wi of every output bitmap.
+// NULLs are masked out a word at a time, so placeholder codes of NULL
+// string rows are never read. Each non-empty output word is written
+// once, from a mask built in a register or a per-region accumulator.
+func (rm *regionMap) scatter(p *storage.ChunkPayload, sel []uint64, out [][]uint64, w0 int) {
+	var acc []uint64
+	if rm.typ == storage.String {
+		acc = make([]uint64, rm.k+1) // acc[k] collects the rows in no region
+	}
+	for wi, w := range sel {
+		if p.Nulls != nil {
+			w &^= p.Nulls[wi]
+		}
+		if w == 0 {
+			continue
+		}
+		base, wo := wi*64, w0+wi
+		switch {
+		case rm.typ == storage.String:
+			tableRows(out, wo, acc, rm.table, p.Codes[base:], w)
+		case rm.typ == storage.Bool:
+			boolRows(out, wo, rm.table, p.Bools[base:], w)
+		case rm.edges != nil && p.Ints != nil:
+			cutRows(out, wo, rm.edges, p.Ints[base:], w)
+		case rm.edges != nil:
+			cutRows(out, wo, rm.edges, p.Floats[base:], w)
+		case p.Ints != nil:
+			firstMatchRows(out, wo, rm.preds, p.Ints[base:], w)
+		default:
+			firstMatchRows(out, wo, rm.preds, p.Floats[base:], w)
+		}
 	}
 }
 
-func predsAreKind(preds []query.Predicate, kind query.PredKind, col storage.Column) error {
-	for _, p := range preds {
-		if p.Kind != kind {
-			return kindErr(p, col)
+// tableRows scatters the rows of w through the code → region table. A
+// full word (all 64 rows exist and are live) skips the bit walk.
+func tableRows(out [][]uint64, wo int, acc []uint64, table []uint32, codes []uint32, w uint64) {
+	if w == ^uint64(0) {
+		for b, c := range codes[:64] {
+			acc[table[c]] |= 1 << b
+		}
+		w = 0
+	}
+	for ; w != 0; w &= w - 1 {
+		b := bits.TrailingZeros64(w)
+		acc[table[codes[b]]] |= 1 << b
+	}
+	for r, a := range acc[:len(out)] {
+		if a != 0 {
+			out[r][wo] = a
+			acc[r] = 0
 		}
 	}
-	return nil
 }
 
-// visitSelectedRange visits the set bits of words[w0:w1] in ascending
-// order; zero words cost one load each.
-func visitSelectedRange(words []uint64, w0, w1 int, fn func(i int)) {
-	for wi := w0; wi < w1; wi++ {
-		base := wi * 64
-		for w := words[wi]; w != 0; w &= w - 1 {
-			fn(base + bits.TrailingZeros64(w))
+// boolRows splits the rows of w into false and true masks.
+func boolRows(out [][]uint64, wo int, table []uint32, vals []bool, w uint64) {
+	var trues uint64
+	for m := w; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		trues |= uint64(b2i(vals[b])) << b
+	}
+	for i, m := range [2]uint64{w &^ trues, trues} {
+		if r := int(table[i]); r < len(out) && m != 0 {
+			out[r][wo] = m
 		}
 	}
+}
+
+// cutRows peels the rows of w off edge by edge: after the range check,
+// the rows below edge r+1 form region r, and only the rows at or above
+// it are compared against the next edge. NaN is never ≥ an edge, so it
+// stays in region 0.
+func cutRows[T int64 | float64](out [][]uint64, wo int, edges []float64, vals []T, w uint64) {
+	k := len(edges) - 1
+	lo, hi := edges[0], edges[k]
+	var outside uint64
+	for m := w; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		v := float64(vals[b])
+		outside |= uint64(b2i(v < lo)|b2i(v > hi)) << b
+	}
+	rest := w &^ outside
+	for r := 0; r < k-1 && rest != 0; r++ {
+		e := edges[r+1]
+		var above uint64
+		for m := rest; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			above |= uint64(b2i(float64(vals[b]) >= e)) << b
+		}
+		if below := rest &^ above; below != 0 {
+			out[r][wo] = below
+		}
+		rest = above
+	}
+	if rest != 0 {
+		out[k-1][wo] = rest
+	}
+}
+
+// firstMatchRows peels the rows of w off predicate by predicate, in
+// order, so each row lands in the first range it satisfies.
+func firstMatchRows[T int64 | float64](out [][]uint64, wo int, preds []query.Predicate, vals []T, w uint64) {
+	for r := 0; r < len(preds) && w != 0; r++ {
+		var match uint64
+		for m := w; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			match |= uint64(b2i(preds[r].MatchFloat(float64(vals[b])))) << b
+		}
+		if match != 0 {
+			out[r][wo] = match
+		}
+		w &^= match
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // AssignFromPartition builds an Assignment directly from the disjoint
-// per-region bitmaps of PartitionBits — no re-evaluation of the region
+// per-region bitmaps of PartitionBitsOpts — no re-evaluation of the region
 // queries. The caller guarantees disjointness.
 func AssignFromPartition(regionBits []*bitvec.Vector, base *bitvec.Vector) *Assignment {
 	counts := make([]int, len(regionBits))

@@ -145,7 +145,7 @@ func TestPartitionBitsChunkParallel(t *testing.T) {
 		query.NewIn("cat", "v2"),
 	}
 	for name, preds := range map[string][]query.Predicate{"numeric": numPreds, "categorical": catPreds} {
-		want, err := PartitionBits(chunked, preds[0].Attr, preds, sel)
+		want, err := PartitionBitsOpts(chunked, preds[0].Attr, preds, sel, ScanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,10 @@ import (
 // degenerates to a plain serial loop.
 //
 // On failure the error with the smallest index among the executed calls
-// is returned and remaining indices are abandoned.
+// is returned and remaining indices are abandoned. A panic in a worker
+// goroutine abandons the remaining indices too, and the first one
+// recovered is re-raised in the calling goroutine once every worker has
+// returned, so the caller's own recover (or net/http's) sees it.
 func For(workers, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
@@ -36,11 +39,23 @@ func For(workers, n int, fn func(i int) error) error {
 		mu       sync.Mutex
 		errIdx   = n
 		firstErr error
+		panicked bool
+		panicVal any
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					if !panicked {
+						panicked, panicVal = true, r
+					}
+					mu.Unlock()
+					failed.Store(true)
+				}
+			}()
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -58,5 +73,8 @@ func For(workers, n int, fn func(i int) error) error {
 		}()
 	}
 	wg.Wait()
+	if panicked {
+		panic(panicVal)
+	}
 	return firstErr
 }

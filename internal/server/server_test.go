@@ -117,6 +117,31 @@ func TestExploreBadCQL(t *testing.T) {
 	}
 }
 
+// TestExploreOptionBound: a WITH option past its bound is a 400 naming
+// the bound, before any cut allocates for it, and the server keeps
+// serving.
+func TestExploreOptionBound(t *testing.T) {
+	ts := newTestServer(t)
+	for _, q := range []string{
+		"EXPLORE census WITH SPLITS 1000000000000000000",
+		"EXPLORE census WITH SPLITS 100000000",
+		"EXPLORE census WITH MAPS 1e300",
+		"EXPLORE census WITH REGIONS 100000 PREDICATES 2",
+	} {
+		resp, body := postJSON(t, ts.URL+"/api/explore", map[string]string{"cql": q})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: status = %d body=%v", q, resp.StatusCode, body)
+		}
+		if msg := string(body["error"]); !strings.Contains(msg, "above its bound") {
+			t.Errorf("%q: error %s does not name the bound", q, msg)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/api/explore", map[string]string{"cql": "EXPLORE census WITH SPLITS 3"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("after bounded requests: status = %d body=%v", resp.StatusCode, body)
+	}
+}
+
 func TestExploreMalformedBody(t *testing.T) {
 	ts := newTestServer(t)
 	resp, err := http.Post(ts.URL+"/api/explore", "application/json", bytes.NewReader([]byte("{nope")))

@@ -514,24 +514,42 @@ func (c *LazyColumn) ForEachSelected(sel *bitvec.Vector, fn func(p *ChunkPayload
 // ForEachSelectedCtx is ForEachSelected with a request context carried
 // into every fetch and prefetch hint.
 func (c *LazyColumn) ForEachSelectedCtx(ctx context.Context, sel *bitvec.Vector, fn func(p *ChunkPayload, lo, i int) bool) error {
+	return c.ForEachSelectedChunkCtx(ctx, sel, func(p *ChunkPayload, lo int, words []uint64) bool {
+		for wi, w := range words {
+			for ; w != 0; w &= w - 1 {
+				if !fn(p, lo, lo+wi*64+bits.TrailingZeros64(w)) {
+					return false
+				}
+			}
+		}
+		return true
+	})
+}
+
+// ForEachSelectedChunkCtx is the chunk-at-a-time form of
+// ForEachSelectedCtx: in ascending order, fn receives each chunk holding
+// a selected row, its first row lo, and the selection words covering it
+// (chunk-local: bit i of words[i/64] is chunk row i). Chunks with no
+// selected rows are never fetched, and after a cache miss the next
+// touched chunk is prefetched. fn returns false to stop.
+func (c *LazyColumn) ForEachSelectedChunkCtx(ctx context.Context, sel *bitvec.Vector, fn func(p *ChunkPayload, lo int, words []uint64) bool) error {
 	if sel.Len() != c.rows {
 		return fmt.Errorf("storage: selection length %d != column length %d", sel.Len(), c.rows)
 	}
 	words := sel.Words()
 	wordsPerChunk := c.chunkSize / 64
+	chunkWords := func(k int) []uint64 {
+		w0 := k * wordsPerChunk
+		return words[w0:min(w0+wordsPerChunk, len(words))]
+	}
 	n := c.NumChunks()
 	// The touched chunk set is known from the selection alone, so collect
 	// it up front: the loop then prefetches exactly the next chunk it
 	// will fetch — never one a zone map already ruled out.
 	touched := make([]int, 0, n)
 	for k := 0; k < n; k++ {
-		w0 := k * wordsPerChunk
-		w1 := w0 + wordsPerChunk
-		if w1 > len(words) {
-			w1 = len(words)
-		}
-		for wi := w0; wi < w1; wi++ {
-			if words[wi] != 0 {
+		for _, w := range chunkWords(k) {
+			if w != 0 {
 				touched = append(touched, k)
 				break
 			}
@@ -550,20 +568,8 @@ func (c *LazyColumn) ForEachSelectedCtx(ctx context.Context, sel *bitvec.Vector,
 		if !hit && ti+1 < len(touched) {
 			c.PrefetchHintCtx(ctx, touched[ti+1])
 		}
-		w0 := k * wordsPerChunk
-		w1 := w0 + wordsPerChunk
-		if w1 > len(words) {
-			w1 = len(words)
-		}
-		lo := k * c.chunkSize
-		for wi := w0; wi < w1; wi++ {
-			base := wi * 64
-			for w := words[wi]; w != 0; w &= w - 1 {
-				i := base + bits.TrailingZeros64(w)
-				if !fn(p, lo, i) {
-					return nil
-				}
-			}
+		if !fn(p, k*c.chunkSize, chunkWords(k)) {
+			return nil
 		}
 	}
 	return nil
@@ -618,15 +624,24 @@ func TableChunkSource(t *Table) (ChunkSource, error) {
 // unused.
 func (s *tableSource) FetchChunkCtx(_ context.Context, ci, k int) (*ChunkPayload, bool, error) {
 	lo := k * s.ck.Size
-	hi := lo + s.ck.Size
-	if hi > s.t.NumRows() {
-		hi = s.t.NumRows()
-	}
+	hi := min(lo+s.ck.Size, s.t.NumRows())
 	if lo < 0 || lo >= hi {
 		return nil, false, fmt.Errorf("chunk %d out of range", k)
 	}
+	p, err := ColumnSpan(s.t.Column(ci), lo, hi)
+	return p, true, err
+}
+
+// ColumnSpan exposes rows [lo, hi) of an in-memory column as a chunk
+// payload without copying: its value slice and null words alias the
+// column's. lo must be a multiple of 64, so the null words stay
+// word-aligned with chunk-local rows. Nulls is nil when the span holds
+// no NULL.
+func ColumnSpan(col Column, lo, hi int) (*ChunkPayload, error) {
+	if lo%64 != 0 || lo < 0 || hi < lo || hi > col.Len() {
+		return nil, fmt.Errorf("storage: span [%d, %d) of a %d-row column", lo, hi, col.Len())
+	}
 	p := &ChunkPayload{}
-	col := s.t.Column(ci)
 	switch c := col.(type) {
 	case *Int64Column:
 		p.Ints = c.Values()[lo:hi]
@@ -637,17 +652,16 @@ func (s *tableSource) FetchChunkCtx(_ context.Context, ci, k int) (*ChunkPayload
 	case *StringColumn:
 		p.Codes = c.Codes()[lo:hi]
 	default:
-		return nil, false, fmt.Errorf("unsupported column type %T", col)
+		return nil, fmt.Errorf("unsupported column type %T", col)
 	}
 	if words := NullWords(col); words != nil {
-		w0, w1 := lo/64, (hi+63)/64
-		chunkWords := words[w0:w1]
-		for _, w := range chunkWords {
+		spanWords := words[lo/64 : (hi+63)/64]
+		for _, w := range spanWords {
 			if w != 0 {
-				p.Nulls = chunkWords
+				p.Nulls = spanWords
 				break
 			}
 		}
 	}
-	return p, true, nil
+	return p, nil
 }
