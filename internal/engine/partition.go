@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/bitvec"
@@ -96,14 +97,12 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 // regionMap is a predicate list compiled to a row → region-code map:
 // code r < k is the first predicate the row satisfies, code k is none.
 // String and Bool columns map through a table; numeric columns through
-// the edges of a CUT-shaped list or, for any other list, a first-match
-// scan of the ranges.
+// a first-match scan of the ranges, each compiled to closed bounds.
 type regionMap struct {
-	typ   storage.DataType
-	k     int
-	table []uint32          // String: dictionary code → code; Bool: false, true → code
-	edges []float64         // CUT shape: k+1 strictly increasing edges
-	preds []query.Predicate // numeric lists without the CUT shape
+	typ    storage.DataType
+	k      int
+	table  []uint32     // String: dictionary code → code; Bool: false, true → code
+	ranges [][2]float64 // Int64, Float64: closedBounds of each range
 }
 
 func compileRegions(col storage.Column, preds []query.Predicate) (*regionMap, error) {
@@ -154,29 +153,12 @@ func compileRegions(col storage.Column, preds []query.Predicate) (*regionMap, er
 			rm.table[b2i(preds[ri].BoolVal)] = uint32(ri)
 		}
 	default:
-		rm.edges = cutEdges(preds)
-		if rm.edges == nil {
-			rm.preds = preds
+		rm.ranges = make([][2]float64, len(preds))
+		for i, p := range preds {
+			rm.ranges[i] = closedBounds(p)
 		}
 	}
 	return rm, nil
-}
-
-// cutEdges returns the edges e0 < … < ek of a CUT-shaped range list —
-// [e0,e1), [e1,e2), …, [ek-1,ek] — or nil for any other list. For
-// non-NaN v in [e0, ek] the first matching range is then the count of
-// inner edges ≤ v; NaN satisfies every range, so it lands in range 0,
-// and comparing NaN against the edges yields that count too.
-func cutEdges(preds []query.Predicate) []float64 {
-	edges := make([]float64, 0, len(preds)+1)
-	for i, p := range preds {
-		last := i == len(preds)-1
-		if !p.LoIncl || p.HiIncl != last || !(p.Lo < p.Hi) || (i > 0 && p.Lo != preds[i-1].Hi) {
-			return nil
-		}
-		edges = append(edges, p.Lo)
-	}
-	return append(edges, preds[len(preds)-1].Hi)
 }
 
 // scatter maps the live rows of one payload span to region codes and
@@ -203,14 +185,10 @@ func (rm *regionMap) scatter(p *storage.ChunkPayload, sel []uint64, out [][]uint
 			tableRows(out, wo, acc, rm.table, p.Codes[base:], w)
 		case rm.typ == storage.Bool:
 			boolRows(out, wo, rm.table, p.Bools[base:], w)
-		case rm.edges != nil && p.Ints != nil:
-			cutRows(out, wo, rm.edges, p.Ints[base:], w)
-		case rm.edges != nil:
-			cutRows(out, wo, rm.edges, p.Floats[base:], w)
 		case p.Ints != nil:
-			firstMatchRows(out, wo, rm.preds, p.Ints[base:], w)
+			firstMatchRows(out, wo, rm.ranges, p.Ints[base:], w)
 		default:
-			firstMatchRows(out, wo, rm.preds, p.Floats[base:], w)
+			firstMatchRows(out, wo, rm.ranges, p.Floats[base:], w)
 		}
 	}
 }
@@ -250,51 +228,42 @@ func boolRows(out [][]uint64, wo int, table []uint32, vals []bool, w uint64) {
 	}
 }
 
-// cutRows peels the rows of w off edge by edge: after the range check,
-// the rows below edge r+1 form region r, and only the rows at or above
-// it are compared against the next edge. NaN is never ≥ an edge, so it
-// stays in region 0.
-func cutRows[T int64 | float64](out [][]uint64, wo int, edges []float64, vals []T, w uint64) {
-	k := len(edges) - 1
-	lo, hi := edges[0], edges[k]
-	var outside uint64
-	for m := w; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		v := float64(vals[b])
-		outside |= uint64(b2i(v < lo)|b2i(v > hi)) << b
-	}
-	rest := w &^ outside
-	for r := 0; r < k-1 && rest != 0; r++ {
-		e := edges[r+1]
-		var above uint64
-		for m := rest; m != 0; m &= m - 1 {
+// firstMatchRows peels the rows of w off predicate by predicate, in
+// order, so each row lands in the first range it satisfies.
+func firstMatchRows[T int64 | float64](out [][]uint64, wo int, ranges [][2]float64, vals []T, w uint64) {
+	for r := 0; r < len(ranges) && w != 0; r++ {
+		lo, hi := ranges[r][0], ranges[r][1]
+		var miss uint64
+		for m := w; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
-			above |= uint64(b2i(float64(vals[b]) >= e)) << b
+			v := float64(vals[b])
+			miss |= uint64(b2i(v < lo)|b2i(v > hi)) << b
 		}
-		if below := rest &^ above; below != 0 {
-			out[r][wo] = below
+		if match := w &^ miss; match != 0 {
+			out[r][wo] = match
 		}
-		rest = above
-	}
-	if rest != 0 {
-		out[k-1][wo] = rest
+		w &= miss
 	}
 }
 
-// firstMatchRows peels the rows of w off predicate by predicate, in
-// order, so each row lands in the first range it satisfies.
-func firstMatchRows[T int64 | float64](out [][]uint64, wo int, preds []query.Predicate, vals []T, w uint64) {
-	for r := 0; r < len(preds) && w != 0; r++ {
-		var match uint64
-		for m := w; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			match |= uint64(b2i(preds[r].MatchFloat(float64(vals[b])))) << b
-		}
-		if match != 0 {
-			out[r][wo] = match
-		}
-		w &^= match
+// closedBounds returns [lo, hi] such that a value v satisfies the Range
+// predicate p exactly when neither v < lo nor v > hi: an open bound
+// moves one float64 step inwards, since no float64 lies between a bound
+// and its neighbour. NaN fails both comparisons, so it satisfies every
+// range, as MatchFloat has it. An open bound at the infinity it cannot
+// step from admits no number; [+Inf, -Inf] admits none either.
+func closedBounds(p query.Predicate) [2]float64 {
+	lo, hi := p.Lo, p.Hi
+	if (!p.LoIncl && lo == math.Inf(1)) || (!p.HiIncl && hi == math.Inf(-1)) {
+		return [2]float64{math.Inf(1), math.Inf(-1)}
 	}
+	if !p.LoIncl {
+		lo = math.Nextafter(lo, math.Inf(1))
+	}
+	if !p.HiIncl {
+		hi = math.Nextafter(hi, math.Inf(-1))
+	}
+	return [2]float64{lo, hi}
 }
 
 func b2i(b bool) int {

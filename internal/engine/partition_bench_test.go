@@ -62,8 +62,8 @@ func benchCensus(b *testing.B) (map[string]*storage.Table, map[string]*bitvec.Ve
 }
 
 // BenchmarkPartitionBits: one CUT partition pass — the numeric binary
-// median cut of age, the per-value categorical cut of education and the
-// bool cut of senior.
+// median cut of age, an 8-way equi-width cut of age (WITH SPLITS 8), the
+// per-value categorical cut of education and the bool cut of senior.
 func BenchmarkPartitionBits(b *testing.B) {
 	tables, sels := benchCensus(b)
 	cuts := []struct {
@@ -71,6 +71,7 @@ func BenchmarkPartitionBits(b *testing.B) {
 		preds []query.Predicate
 	}{
 		{"numeric", []query.Predicate{query.NewRangeHalfOpen("age", 17, 55), query.NewRange("age", 55, 90)}},
+		{"numeric8", cutPreds("age", linspace(17, 90, 8)...)},
 		{"categorical", []query.Predicate{query.NewIn("education", "BSc"), query.NewIn("education", "HS"), query.NewIn("education", "MSc")}},
 		{"bool", []query.Predicate{query.NewBoolEq("senior", false), query.NewBoolEq("senior", true)}},
 	}

@@ -121,6 +121,12 @@ func cutPreds(attr string, edges ...float64) []query.Predicate {
 	return preds
 }
 
+func rangeOf(attr string, lo, hi float64, loIncl, hiIncl bool) query.Predicate {
+	p := query.NewRange(attr, lo, hi)
+	p.LoIncl, p.HiIncl = loIncl, hiIncl
+	return p
+}
+
 func linspace(lo, hi float64, k int) []float64 {
 	edges := make([]float64, k+1)
 	for i := range edges {
@@ -130,8 +136,9 @@ func linspace(lo, hi float64, k int) []float64 {
 }
 
 // oraclePredLists covers the CUT shape at k = 1, 2, 5 and 300 (with
-// infinite edges too), and first-match lists the CUT shape does not
-// describe: overlapping, unsorted, gapped, open last and point ranges.
+// infinite edges too), first-match lists of other shapes (overlapping,
+// unsorted, gapped, open last and point ranges) and open bounds where a
+// step to the next float64 is delicate: at ±Inf, ±MaxFloat64, ±0 and NaN.
 func oraclePredLists() map[string][]query.Predicate {
 	lists := map[string][]query.Predicate{}
 	for _, a := range []string{"i", "f"} {
@@ -148,6 +155,13 @@ func oraclePredLists() map[string][]query.Predicate {
 		open := query.NewRange(a, 0, 2)
 		open.LoIncl = false
 		lists[a+"/points"] = []query.Predicate{point, open, query.NewRange(a, math.Inf(-1), math.Inf(1))}
+		inf, maxf, negz, nan := math.Inf(1), math.MaxFloat64, math.Copysign(0, -1), math.NaN()
+		lists[a+"/bounds"] = []query.Predicate{
+			rangeOf(a, inf, inf, false, true), rangeOf(a, -inf, -inf, true, false),
+			rangeOf(a, maxf, inf, false, true), rangeOf(a, -inf, -maxf, true, false),
+			rangeOf(a, negz, 0, false, true), rangeOf(a, 0, 1, false, false),
+			rangeOf(a, nan, 2, false, true), rangeOf(a, -1, inf, true, false),
+		}
 	}
 	perValue := make([]query.Predicate, 300)
 	for i := range perValue {

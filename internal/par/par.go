@@ -5,6 +5,8 @@
 package par
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -19,7 +21,8 @@ import (
 // is returned and remaining indices are abandoned. A panic in a worker
 // goroutine abandons the remaining indices too, and the first one
 // recovered is re-raised in the calling goroutine once every worker has
-// returned, so the caller's own recover (or net/http's) sees it.
+// returned, as a *WorkerPanic carrying the worker's stack, so the
+// caller's own recover (or net/http's) sees it.
 func For(workers, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
@@ -39,8 +42,7 @@ func For(workers, n int, fn func(i int) error) error {
 		mu       sync.Mutex
 		errIdx   = n
 		firstErr error
-		panicked bool
-		panicVal any
+		panicked *WorkerPanic
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -48,9 +50,13 @@ func For(workers, n int, fn func(i int) error) error {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
+					wp, nested := r.(*WorkerPanic)
+					if !nested {
+						wp = &WorkerPanic{Value: r, Stack: debug.Stack()}
+					}
 					mu.Lock()
-					if !panicked {
-						panicked, panicVal = true, r
+					if panicked == nil {
+						panicked = wp
 					}
 					mu.Unlock()
 					failed.Store(true)
@@ -73,8 +79,28 @@ func For(workers, n int, fn func(i int) error) error {
 		}()
 	}
 	wg.Wait()
-	if panicked {
-		panic(panicVal)
+	if panicked != nil {
+		panic(panicked)
 	}
 	return firstErr
+}
+
+// WorkerPanic is the value For re-raises for a panic in one of its
+// worker goroutines: the recovered value and the worker's stack at the
+// panic, which the re-raise in the calling goroutine would otherwise
+// lose. A panic already wrapped by a nested For is passed on as is.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("par: worker panic: %v\n\n%s", p.Value, p.Stack)
+}
+
+// Unwrap returns the recovered value when it is an error, so errors.As
+// finds a typed panic value through the wrapper.
+func (p *WorkerPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
 }

@@ -2,6 +2,8 @@ package par
 
 import (
 	"errors"
+	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -32,23 +34,62 @@ func TestForReturnsSmallestIndexError(t *testing.T) {
 }
 
 // TestForReraisesWorkerPanic: a panic in a worker goroutine reaches the
-// caller's recover instead of killing the process.
+// caller's recover instead of killing the process, wrapped with the
+// worker's stack so the frame that panicked is not lost.
 func TestForReraisesWorkerPanic(t *testing.T) {
 	type boom struct{ i int }
 	for _, workers := range []int{2, 8} {
 		func() {
 			defer func() {
-				if r, ok := recover().(boom); !ok || r.i != 5 {
-					t.Errorf("workers=%d: recovered %v, want boom{5}", workers, r)
+				wp, ok := recover().(*WorkerPanic)
+				if !ok {
+					t.Fatalf("workers=%d: recovered %T, want *WorkerPanic", workers, wp)
+				}
+				if r, ok := wp.Value.(boom); !ok || r.i != 5 {
+					t.Errorf("workers=%d: value %v, want boom{5}", workers, wp.Value)
+				}
+				if !strings.Contains(string(wp.Stack), "panicAt") {
+					t.Errorf("workers=%d: stack lacks the panicking frame:\n%s", workers, wp.Stack)
 				}
 			}()
 			_ = For(workers, 16, func(i int) error {
-				if i == 5 {
-					panic(boom{i})
-				}
+				panicAt(i, 5, boom{i})
 				return nil
 			})
 			t.Errorf("workers=%d: For returned after a worker panic", workers)
 		}()
 	}
+}
+
+//go:noinline
+func panicAt(i, at int, v any) {
+	if i == at {
+		panic(v)
+	}
+}
+
+// TestWorkerPanicUnwrapsErrors: an error panic value stays reachable
+// through errors.As, and a nested For passes the inner wrapper on.
+func TestWorkerPanicUnwrapsErrors(t *testing.T) {
+	inner := &os.PathError{Op: "read", Path: "chunk", Err: errors.New("crc")}
+	defer func() {
+		wp, ok := recover().(*WorkerPanic)
+		if !ok {
+			t.Fatalf("recovered %T, want *WorkerPanic", wp)
+		}
+		if wp.Value != error(inner) {
+			t.Errorf("nested For re-wrapped the panic: value %v", wp.Value)
+		}
+		var pe *os.PathError
+		if !errors.As(wp, &pe) || pe != inner {
+			t.Errorf("errors.As did not find the panic value")
+		}
+	}()
+	_ = For(2, 4, func(i int) error {
+		return For(2, 4, func(j int) error {
+			panicAt(i+j, 3, inner)
+			return nil
+		})
+	})
+	t.Error("For returned after a nested worker panic")
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"strconv"
@@ -119,10 +120,12 @@ func (e *ChunkError) Error() string {
 func (e *ChunkError) Unwrap() error { return e.Err }
 
 // AsChunkPanic converts a recovered panic value back into the
-// *ChunkError a lazy Column accessor carried, or nil when the panic (if
-// any) was something else — in which case the caller must re-panic.
+// *ChunkError a lazy Column accessor carried, also when a worker pool
+// re-raised it wrapped in an error, or nil when the panic (if any) was
+// something else — in which case the caller must re-panic.
 func AsChunkPanic(r any) *ChunkError {
-	if ce, ok := r.(*ChunkError); ok {
+	var ce *ChunkError
+	if err, ok := r.(error); ok && errors.As(err, &ce) {
 		return ce
 	}
 	return nil

@@ -2,11 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/par"
 )
 
 func TestSchemaBasics(t *testing.T) {
@@ -383,4 +385,30 @@ func TestPropertyDictionaryRoundTrip(t *testing.T) {
 			t.Fatal("cardinality too high")
 		}
 	}
+}
+
+// TestAsChunkPanicThroughWorkerPool: a chunk-fetch panic raised on a
+// worker goroutine reaches the caller wrapped with the worker's stack,
+// and AsChunkPanic still recovers the *ChunkError from it.
+func TestAsChunkPanicThroughWorkerPool(t *testing.T) {
+	ce := &ChunkError{Col: 1, Chunk: 3, Err: errors.New("crc mismatch")}
+	defer func() {
+		r := recover()
+		if _, ok := r.(*par.WorkerPanic); !ok {
+			t.Fatalf("recovered %T, want *par.WorkerPanic", r)
+		}
+		if got := AsChunkPanic(r); got != ce {
+			t.Errorf("AsChunkPanic = %v, want %v", got, ce)
+		}
+		if AsChunkPanic(&par.WorkerPanic{Value: "index out of range"}) != nil {
+			t.Error("AsChunkPanic took a non-chunk panic for a chunk error")
+		}
+	}()
+	_ = par.For(2, 4, func(i int) error {
+		if i == 3 {
+			panic(ce)
+		}
+		return nil
+	})
+	t.Error("For returned after a worker panic")
 }
